@@ -18,6 +18,7 @@ from .core import (
     constant_variable,
     fair_coin,
     identity_map,
+    joint_masses,
     joint_table,
     pmf,
     product_space,

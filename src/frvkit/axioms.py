@@ -12,6 +12,12 @@ a reference fair coin and compared to that multiple across the corpus.
 Checks falsify; they cannot prove.  In particular the continuity check
 evaluates geometric probe indices and requires residuals that shrink and
 end below tolerance, which finite sampling can refute but never certify.
+
+A residual that is not finite (NaN or infinite) fails its check, and so
+does a functional that raises: the check keeps evaluating its corpus and
+records the first such instance, with the value or the exception, as its
+counterexample.  The probe likewise fails on a non-finite deviation or an
+exception.
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ from .generators import (
 )
 from .labels import Label, encode_label, label_key, sort_labels
 from .markov import Triple, generate_markov_triangle
-from .measures import conditional_entropy, entropy, mutual_information
+from .measures import conditional_entropy, entropy, joint_entropy, mutual_information
 
 IDENTITY_TOLERANCE = 1e-9
 PROBE_TOLERANCE = 1e-6
 DEFAULT_SEED = 17
 DEFAULT_INSTANCES = 64
+MIN_INSTANCES = 4
 CONTINUITY_PROBES = (10**3, 10**6, 10**9, 10**12)
 
 AXIOM_NAMES = {
@@ -231,40 +238,72 @@ class ProbeReport:
     max_abs_deviation: float
     instances: int
     tolerance: float
+    error: Optional[str] = None
 
     @property
     def passed(self) -> bool:
         return self.max_abs_deviation <= self.tolerance and self.fitted_c >= -self.tolerance
 
     def as_document(self) -> dict:
-        return {
+        doc = {
             "fitted_c": self.fitted_c,
             "max_abs_deviation": self.max_abs_deviation,
             "instances": self.instances,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
+        if self.error is not None:
+            doc["error"] = self.error
+        return doc
+
+
+class _FunctionalRaised(Exception):
+    """Stands in for any exception a candidate functional raised; the
+    message is ``"Type: message"`` of the original."""
+
+
+def _guarded(functional: CandidateFunctional) -> Callable[..., float]:
+    def call(x: FiniteRandomVariable, y: FiniteRandomVariable) -> float:
+        try:
+            return functional(x, y)
+        except Exception as exc:
+            raise _FunctionalRaised(f"{type(exc).__name__}: {exc}") from exc
+
+    return call
 
 
 def _report(
     axiom: int,
-    residual_doc_pairs: Sequence[Tuple[float, Callable[[], dict]]],
+    instances: Sequence,
+    residual: Callable[[object], float],
     tolerance: float,
+    document: Callable[[object], dict] = lambda inst: inst.as_document(),
 ) -> AxiomReport:
+    """Evaluate ``residual`` on every instance and keep the worst: the first
+    non-finite residual or raising functional if there is one, else the
+    first instance with the largest residual."""
     max_residual = 0.0
-    witness: Optional[Callable[[], dict]] = None
-    for residual, doc_fn in residual_doc_pairs:
-        if residual > max_residual:
-            max_residual = residual
-            witness = doc_fn
-    failed = max_residual > tolerance
-    counterexample = witness() if failed and witness is not None else None
-    if counterexample is not None:
+    witness = None
+    error: Optional[str] = None
+    for inst in instances:
+        try:
+            value, raised = residual(inst), None
+        except _FunctionalRaised as exc:
+            value, raised = math.nan, str(exc)
+        # ``not value <= max_residual`` is ``value > max_residual`` or NaN.
+        if math.isfinite(max_residual) and not value <= max_residual:
+            max_residual, witness, error = value, inst, raised
+    failed = not max_residual <= tolerance
+    counterexample = None
+    if failed and witness is not None:
+        counterexample = document(witness)
         counterexample["max_residual"] = max_residual
+        if error is not None:
+            counterexample["error"] = error
     return AxiomReport(
         axiom=axiom,
         name=AXIOM_NAMES[axiom],
-        instances_tested=len(residual_doc_pairs),
+        instances_tested=len(instances),
         max_residual=max_residual,
         tolerance=tolerance,
         counterexample=counterexample,
@@ -287,15 +326,18 @@ def check_continuity(
     any growth between consecutive probes (a shrinking tail cannot hide a
     diverging one).
     """
-    rows = []
-    for inst in instances:
-        limit_value = functional(*inst.limit_pair())
-        gaps = [abs(functional(*inst.term_pair(n)) - limit_value) for n in probes]
+    f = _guarded(functional)
+
+    def residual(inst: SequenceInstance) -> float:
+        limit_value = f(*inst.limit_pair())
+        gaps = [abs(f(*inst.term_pair(n)) - limit_value) for n in probes]
         growth = max(
             [0.0] + [gaps[i + 1] - gaps[i] for i in range(len(gaps) - 1)]
         )
-        rows.append((max(gaps[-1], growth), inst.as_document))
-    return _report(1, rows, tolerance)
+        # max() would drop a NaN gap, so a non-finite gap is the residual.
+        return next((gap for gap in gaps if not math.isfinite(gap)), max(gaps[-1], growth))
+
+    return _report(1, instances, residual, tolerance)
 
 
 def check_strong_additivity(
@@ -305,17 +347,18 @@ def check_strong_additivity(
 ) -> AxiomReport:
     """Axiom 2: F of a weighted convex sum of pairs must equal F on the
     weight distribution's identity pair plus the weighted component values."""
-    rows = []
-    for inst in instances:
-        mixed = inst.mixed_pair()
-        lhs = functional(*mixed)
+    f = _guarded(functional)
+
+    def residual(inst: MixtureInstance) -> float:
+        lhs = f(*inst.mixed_pair())
         index_var = inst.index_variable()
-        rhs = functional(index_var, index_var)
+        rhs = f(index_var, index_var)
         for tag in sort_labels(inst.weights):
             first, second = inst.pairs[tag]
-            rhs += float(inst.weights[tag]) * functional(first, second)
-        rows.append((abs(lhs - rhs), inst.as_document))
-    return _report(2, rows, tolerance)
+            rhs += float(inst.weights[tag]) * f(first, second)
+        return abs(lhs - rhs)
+
+    return _report(2, instances, residual, tolerance)
 
 
 def check_symmetry(
@@ -324,11 +367,8 @@ def check_symmetry(
     tolerance: float,
 ) -> AxiomReport:
     """Axiom 3: F(X, Y) = F(Y, X)."""
-    rows = [
-        (abs(functional(inst.x, inst.y) - functional(inst.y, inst.x)), inst.as_document)
-        for inst in instances
-    ]
-    return _report(3, rows, tolerance)
+    f = _guarded(functional)
+    return _report(3, instances, lambda inst: abs(f(inst.x, inst.y) - f(inst.y, inst.x)), tolerance)
 
 
 def check_pullback_invariance(
@@ -338,12 +378,8 @@ def check_pullback_invariance(
 ) -> AxiomReport:
     """Axiom 4: composing both variables with a measure-preserving map must
     not change F."""
-    rows = []
-    for inst in instances:
-        pulled_x, pulled_y = inst.pulled()
-        residual = abs(functional(inst.x, inst.y) - functional(pulled_x, pulled_y))
-        rows.append((residual, inst.as_document))
-    return _report(4, rows, tolerance)
+    f = _guarded(functional)
+    return _report(4, instances, lambda inst: abs(f(inst.x, inst.y) - f(*inst.pulled())), tolerance)
 
 
 def check_weak_functoriality(
@@ -352,16 +388,12 @@ def check_weak_functoriality(
     tolerance: float,
 ) -> AxiomReport:
     """Axiom 5: F(X,Z) = F(X,Y) + F(Y,Z) - F(Y,Y) on Markov triangles."""
-    rows = []
-    for t in triangles:
-        residual = abs(
-            functional(t.x, t.z)
-            - functional(t.x, t.y)
-            - functional(t.y, t.z)
-            + functional(t.y, t.y)
-        )
-        rows.append((residual, lambda t=t: triangle_document(t)))
-    return _report(5, rows, tolerance)
+    f = _guarded(functional)
+
+    def residual(t: Triple) -> float:
+        return abs(f(t.x, t.z) - f(t.x, t.y) - f(t.y, t.z) + f(t.y, t.y))
+
+    return _report(5, triangles, residual, tolerance, triangle_document)
 
 
 def check_vacuity(
@@ -370,11 +402,8 @@ def check_vacuity(
     tolerance: float,
 ) -> AxiomReport:
     """Axiom 6: F against any constant variable vanishes."""
-    rows = [
-        (abs(functional(inst.x, inst.c)), inst.as_document)
-        for inst in instances
-    ]
-    return _report(6, rows, tolerance)
+    f = _guarded(functional)
+    return _report(6, instances, lambda inst: abs(f(inst.x, inst.c)), tolerance)
 
 
 def characterization_probe(
@@ -387,20 +416,27 @@ def characterization_probe(
 
     Raises :class:`DegenerateFit` when the fit is indistinguishable from
     zero while the functional is not: a zero fit explains nothing then.
+    A functional that raises fails the probe with NaN values and the
+    exception recorded in ``error``.
     """
+    f = _guarded(functional)
     coin = fair_coin()
-    fitted_c = functional(coin, coin)
-    values = [functional(inst.x, inst.y) for inst in instances]
+    try:
+        fitted_c = f(coin, coin)
+        values = [f(inst.x, inst.y) for inst in instances]
+    except _FunctionalRaised as exc:
+        return ProbeReport(math.nan, math.nan, len(instances), tolerance, error=str(exc))
     if abs(fitted_c) < tolerance and any(abs(v) > tolerance for v in values):
         raise DegenerateFit(
             f"{functional.name}: fit on the reference coin is {fitted_c!r} "
             "but the functional is not identically negligible on the corpus"
         )
-    deviation = 0.0
-    for inst, value in zip(instances, values):
-        deviation = max(
-            deviation, abs(value - fitted_c * mutual_information(inst.x, inst.y))
-        )
+    deviations = [
+        abs(value - fitted_c * mutual_information(inst.x, inst.y))
+        for inst, value in zip(instances, values)
+    ]
+    # max() would drop a NaN deviation, so a non-finite one is the result.
+    deviation = next((d for d in deviations if not math.isfinite(d)), max([0.0, *deviations]))
     return ProbeReport(
         fitted_c=fitted_c,
         max_abs_deviation=deviation,
@@ -542,9 +578,15 @@ def _canonical_pullbacks() -> List[PullbackInstance]:
 
 def _random_sequence(rng: random.Random) -> SequenceInstance:
     """A random joint limit with a 1/n perturbation moving mass between two
-    cells; entries stay valid for every n >= 1 by construction."""
-    x, y = random_pair(rng, max_alphabet=3, max_outcomes=5)
-    limit = joint_table(x, y).as_pmf()
+    cells; entries stay valid for every n >= 1 by construction.
+
+    Two constant variables give a one-cell table with no receiver cell; only
+    that draw is redrawn, so every other draw stays as it was."""
+    while True:
+        x, y = random_pair(rng, max_alphabet=3, max_outcomes=5)
+        limit = joint_table(x, y).as_pmf()
+        if len(limit) > 1:
+            break
     cells = sort_labels(limit)
     donors = [cell for cell in cells if limit[cell] > 0]
     donor = rng.choice(donors)
@@ -590,8 +632,8 @@ def build_audit_corpus(seed: int = DEFAULT_SEED, instances: int = DEFAULT_INSTAN
     Alphabets stay at five labels or fewer and weights keep denominators of
     at most 24, so counterexamples stay readable and exact arithmetic cheap.
     """
-    if instances < 4:
-        raise ValueError("corpus needs at least 4 instances per check")
+    if instances < MIN_INSTANCES:
+        raise ValueError(f"corpus needs at least {MIN_INSTANCES} instances per check")
 
     def fill(canonical, draw, count, salt):
         rng = random.Random(seed * 1_000_003 + salt)
@@ -751,7 +793,7 @@ def builtin_functionals() -> Tuple[CandidateFunctional, ...]:
         ),
         CandidateFunctional(
             "joint_entropy",
-            lambda x, y: entropy(joint_table(x, y).as_pmf()),
+            joint_entropy,
             "H(X,Y); breaks only vanishing against constants",
             expected_failures=frozenset({6}),
         ),

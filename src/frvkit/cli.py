@@ -8,7 +8,8 @@ Commands::
     frvkit generate       emit seeded instance-document corpora
 
 ``FILE`` may be ``-`` for stdin.  Exit codes: 0 success (for audit: every
-check passed), 1 audit failure, 2 input or validation error.
+check passed), 1 audit failure, 2 input or validation error.  Any other
+exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .axioms import (
     DEFAULT_INSTANCES,
     DEFAULT_SEED,
     IDENTITY_TOLERANCE,
+    MIN_INSTANCES,
     PROBE_TOLERANCE,
     audit,
     builtin_functionals,
@@ -57,14 +59,14 @@ def _significant(value: float, digits: int = 12) -> float:
 
 
 def _read_document(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise DocumentError(path, str(exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(path, str(exc)) from None
     return load_document(text)
 
 
@@ -110,9 +112,10 @@ def cmd_compute(args) -> int:
     _, variables = parse_instance_document(_read_document(args.file))
     (x, y), (name_x, name_y) = _pick_variables(variables, args.pair, 2, "--pair")
     base = BASES[args.base]
+    pmfs = {"X": x.pmf, "Y": y.pmf}
     values = {
-        "H(X)": entropy(x.pmf, base),
-        "H(Y)": entropy(y.pmf, base),
+        "H(X)": entropy(pmfs["X"], base),
+        "H(Y)": entropy(pmfs["Y"], base),
         "H(X,Y)": joint_entropy(x, y, base),
         "H(Y|X)": conditional_entropy(x, y, base),
         "H(X|Y)": conditional_entropy(y, x, base),
@@ -124,8 +127,8 @@ def cmd_compute(args) -> int:
             "version": 1,
             "pair": [name_x, name_y],
             "base": args.base,
-            "pmf_X": pmf_document(x.pmf),
-            "pmf_Y": pmf_document(y.pmf),
+            "pmf_X": pmf_document(pmfs["X"]),
+            "pmf_Y": pmf_document(pmfs["Y"]),
             "entropy_X": rounded["H(X)"],
             "entropy_Y": rounded["H(Y)"],
             "joint_entropy": rounded["H(X,Y)"],
@@ -136,10 +139,9 @@ def cmd_compute(args) -> int:
         _write_output(serialize_document(doc), args.out)
     else:
         lines = [f"pair: X={name_x} Y={name_y} (log base {args.base})"]
-        for var, name in ((x, "X"), (y, "Y")):
+        for name, pmf in pmfs.items():
             masses = " ".join(
-                f"{label_text(lab)}={var.pmf[lab]}"
-                for lab in sorted(var.pmf, key=label_key)
+                f"{label_text(lab)}={pmf[lab]}" for lab in sorted(pmf, key=label_key)
             )
             lines.append(f"pmf {name}: {masses}")
         lines.extend(f"{key:7s}= {value:.12g}" for key, value in values.items())
@@ -190,18 +192,24 @@ def cmd_audit(args) -> int:
         names = [f.name for f in builtin_functionals()]
     else:
         names = [args.functional]
-    results = []
-    for name in names:
-        functional = get_functional(name)
-        results.append(
-            audit(
-                functional,
-                seed=args.seed,
-                instances=args.instances,
-                tolerance=args.tol,
-                probe_tolerance=args.probe_tol,
-            )
+    try:
+        functionals = [get_functional(name) for name in names]
+    except LookupError as exc:
+        raise DocumentError("--functional", str(exc)) from None
+    if args.instances < MIN_INSTANCES:
+        raise DocumentError(
+            "--instances", f"must be at least {MIN_INSTANCES}, got {args.instances}"
         )
+    results = [
+        audit(
+            functional,
+            seed=args.seed,
+            instances=args.instances,
+            tolerance=args.tol,
+            probe_tolerance=args.probe_tol,
+        )
+        for functional in functionals
+    ]
     if len(results) == 1:
         payload = results[0].as_document()
         all_passed = results[0].passed
@@ -286,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FrvError, LookupError, ValueError, OSError) as exc:
+    except (FrvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,12 @@ values, sums are required to equal 1 with zero residual, and all derived
 quantities (pmfs, joint cells, marginals) stay rational.  Floating point
 enters only in the entropy layer (:mod:`frvkit.measures`).
 
+A space checks its weights once, when it is built, and keeps them as
+integer masses over one common denominator (the lcm of the weight
+denominators).  Label masses, joint cells and the measures are integer sums
+of those masses; ``Fraction`` values are made only where the public API
+returns them.
+
 All values are immutable after construction and safe to share across
 threads.  Equality is structural, so two independently built copies of the
 same space count as "the same space" for joint constructions.
@@ -13,9 +19,10 @@ same space count as "the same space" for joint constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -23,19 +30,27 @@ from .errors import AlphabetMismatch, DomainMismatch, NotAPmf
 from .labels import Label, Outcome, label_text, sort_labels
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _check_weights(weights: Mapping, what: str) -> None:
-    total = ZERO
+def _check_weights(weights: Mapping, what: str) -> Tuple[int, Dict]:
+    """Check that ``weights`` are ``Fraction`` probabilities summing to
+    exactly 1 and return ``(D, masses)``: D is the lcm of their denominators
+    and ``masses[key] / D`` is the weight of ``key``."""
+    denominator = 1
     for key, value in weights.items():
         if not isinstance(value, Fraction):
             raise NotAPmf(f"{what} {label_text(key)}: expected Fraction, got {type(value).__name__}")
-        if value < 0 or value > 1:
+        if value.numerator < 0 or value.numerator > value.denominator:
             raise NotAPmf(f"{what} {label_text(key)}: {value} outside [0, 1]")
-        total += value
-    if total != ONE:
-        raise NotAPmf(f"{what}s sum to {total}, expected exactly 1")
+        denominator = lcm(denominator, value.denominator)
+    masses = {
+        key: value.numerator * (denominator // value.denominator)
+        for key, value in weights.items()
+    }
+    total = sum(masses.values())
+    if total != denominator:
+        raise NotAPmf(f"{what} sum is {Fraction(total, denominator)}, expected exactly 1")
+    return denominator, masses
 
 
 @dataclass(frozen=True)
@@ -44,18 +59,23 @@ class SampleSpace:
 
     The sigma-algebra is implicitly the full power set, so a weight map is
     the entire measure.  Weights must sum to exactly 1; zero-weight outcomes
-    are permitted.
+    are permitted.  ``masses[w] / denominator`` is the weight of ``w``, with
+    integer masses summing to ``denominator``.
     """
 
     outcomes: Tuple[Outcome, ...]
     weights: Dict[Outcome, Fraction]
+    denominator: int = field(init=False, repr=False, compare=False)
+    masses: Dict[Outcome, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.outcomes)) != len(self.outcomes):
             raise NotAPmf("duplicate outcomes in sample space")
         if set(self.weights) != set(self.outcomes):
             raise NotAPmf("weight map does not cover exactly the outcome set")
-        _check_weights(self.weights, "outcome weight")
+        denominator, masses = _check_weights(self.weights, "outcome weight")
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "masses", masses)
 
     def weight(self, outcome: Outcome) -> Fraction:
         return self.weights[outcome]
@@ -96,15 +116,25 @@ class FiniteRandomVariable:
         return tuple(sort_labels(set(self.assignment.values())))
 
     @cached_property
+    def masses(self) -> Mapping[Label, int]:
+        """Integer label masses over ``space.denominator``, zero-mass labels
+        included, in alphabet order."""
+        masses = dict.fromkeys(self.alphabet, 0)
+        assignment = self.assignment
+        for outcome, mass in self.space.masses.items():
+            masses[assignment[outcome]] += mass
+        return MappingProxyType(masses)
+
+    @property
     def pmf(self) -> Mapping[Label, Fraction]:
         """Exact probability mass function: label -> total preimage weight.
 
         Returned read-only; take ``dict(x.pmf)`` for a mutable copy.
         """
-        masses: Dict[Label, Fraction] = {x: ZERO for x in self.alphabet}
-        for outcome in self.space.outcomes:
-            masses[self.assignment[outcome]] += self.space.weights[outcome]
-        return MappingProxyType(masses)
+        denominator = self.space.denominator
+        return MappingProxyType(
+            {x: Fraction(n, denominator) for x, n in self.masses.items()}
+        )
 
     def __call__(self, outcome: Outcome) -> Label:
         return self.assignment[outcome]
@@ -169,14 +199,30 @@ class JointTable:
 def joint_table(x: FiniteRandomVariable, y: FiniteRandomVariable) -> JointTable:
     """Joint distribution: cell (a, b) = total weight of the outcomes mapped
     to a by ``x`` and to b by ``y``.  Requires a shared sample space."""
-    if x.space != y.space:
-        raise DomainMismatch("joint table requires variables on the same space")
+    counts = joint_masses(x, y)
+    denominator = x.space.denominator
     cells: Dict[Tuple[Label, Label], Fraction] = {
         (a, b): ZERO for a in x.alphabet for b in y.alphabet
     }
-    for outcome in x.space.outcomes:
-        cells[(x.assignment[outcome], y.assignment[outcome])] += x.space.weights[outcome]
+    for cell, n in counts.items():
+        cells[cell] = Fraction(n, denominator)
     return JointTable(x.alphabet, y.alphabet, cells)
+
+
+def joint_masses(
+    x: FiniteRandomVariable, y: FiniteRandomVariable
+) -> Dict[Tuple[Label, Label], int]:
+    """Integer joint masses over ``x.space.denominator`` of the cells that
+    some outcome hits; cells no outcome hits are absent.  Requires a shared
+    sample space."""
+    if x.space != y.space:
+        raise DomainMismatch("joint table requires variables on the same space")
+    counts: Dict[Tuple[Label, Label], int] = {}
+    xs, ys = x.assignment, y.assignment
+    for outcome, mass in x.space.masses.items():
+        cell = (xs[outcome], ys[outcome])
+        counts[cell] = counts.get(cell, 0) + mass
+    return counts
 
 
 def canonical_product(x: FiniteRandomVariable, y: FiniteRandomVariable) -> FiniteRandomVariable:
@@ -206,15 +252,17 @@ class MeasurePreservingMap:
     def __post_init__(self):
         if set(self.mapping) != set(self.source.outcomes):
             raise DomainMismatch("map is not total on the source outcomes")
-        pushed: Dict[Outcome, Fraction] = {w: ZERO for w in self.target.outcomes}
+        pushed: Dict[Outcome, int] = dict.fromkeys(self.target.outcomes, 0)
         for src, dst in self.mapping.items():
             if dst not in pushed:
                 raise DomainMismatch(f"map sends {label_text(src)} outside the target space")
-            pushed[dst] += self.source.weights[src]
+            pushed[dst] += self.source.masses[src]
+        # Compare pushed / source.denominator with mass / target.denominator.
+        source_den, target_den = self.source.denominator, self.target.denominator
         for outcome, mass in pushed.items():
-            if mass != self.target.weights[outcome]:
+            if mass * target_den != self.target.masses[outcome] * source_den:
                 raise DomainMismatch(
-                    f"preimage of {label_text(outcome)} carries {mass}, "
+                    f"preimage of {label_text(outcome)} carries {Fraction(mass, source_den)}, "
                     f"target weight is {self.target.weights[outcome]}"
                 )
 
@@ -263,7 +311,6 @@ def canonical_variable(distribution: Mapping[Label, Fraction]) -> FiniteRandomVa
     """Realize a bare distribution as the identity variable on the weighted
     set of its labels.  Labels with exactly zero mass stay in the alphabet."""
     weights = dict(distribution)
-    _check_weights(weights, "probability")
     sp = SampleSpace(tuple(weights), weights)
     return FiniteRandomVariable(sp, {w: w for w in sp.outcomes})
 
@@ -274,7 +321,6 @@ def canonical_pair(
     """Realize a joint distribution over pair labels as coordinate variables
     on the weighted set of its cells (the channel view of a pair)."""
     weights = dict(joint)
-    _check_weights(weights, "joint cell")
     for key in weights:
         if not (isinstance(key, tuple) and len(key) == 2):
             raise AlphabetMismatch(f"joint key {label_text(key)} is not a pair")

@@ -211,6 +211,9 @@ def load_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        # Integer literals past the digit limit, or nesting past the recursion limit.
+        raise DocumentError("", str(exc)) from None
 
 
 def pmf_document(pmf: Mapping[Label, Fraction]) -> object:

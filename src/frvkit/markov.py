@@ -17,27 +17,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import FiniteRandomVariable, canonical_product
+from .core import FiniteRandomVariable, canonical_product, joint_masses
 from .constructions import relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
-from .labels import Label, label_key, label_text
-from .measures import (
-    DEFAULT_BASE,
-    ConditionalKernel,
-    conditional_entropy,
-    conditional_kernel,
-    mutual_information,
-)
+from .labels import Label, label_text
+from .measures import DEFAULT_BASE, conditional_entropy, mutual_information
 
 FAMILIES = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True)
 class Triple:
-    """Three variables on one shared space, with cached conditional kernels."""
+    """Three variables on one shared space, with cached integer joint masses
+    n(x,y), n(y,z) and n(x,z) over the space's denominator."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -48,16 +43,23 @@ class Triple:
             raise DomainMismatch("triple components must share one sample space")
 
     @cached_property
-    def y_given_x(self) -> ConditionalKernel:
-        return conditional_kernel(self.x, self.y)
+    def _joint(self) -> Tuple[Dict, Dict, Dict]:
+        x, y, z = self.x, self.y, self.z
+        return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
 
-    @cached_property
-    def z_given_y(self) -> ConditionalKernel:
-        return conditional_kernel(self.y, self.z)
+    def _holds(self, z: Label, x: Label, y: Label) -> bool:
+        """The mediator equation P(z|x) = P(z|y) P(y|x) at one cell, exactly.
 
-    @cached_property
-    def z_given_x(self) -> ConditionalKernel:
-        return conditional_kernel(self.x, self.z)
+        With n(x), n(y) > 0 it reads n(x,z) n(y) = n(y,z) n(x,y).  That form
+        also covers n(x) = 0, where both sides vanish.  At n(y) = 0 the row
+        P(.|y) is zero, so the equation holds iff P(z|x) = 0.
+        """
+        xy, yz, xz = self._joint
+        n_y = self.y.masses[y]
+        n_xz = xz.get((x, z), 0)
+        if not n_y:
+            return not n_xz
+        return n_xz * n_y == yz.get((y, z), 0) * xy.get((x, y), 0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,12 @@ def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
 def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
     """True iff the defining equation holds at every cell, exactly."""
     _check_mediator_shape(t, h)
-    for (z, x), y in h.table.items():
-        if t.z_given_x.prob(z, x) != t.z_given_y.prob(z, y) * t.y_given_x.prob(y, x):
-            return False
-    return True
+    return all(t._holds(z, x, y) for (z, x), y in h.table.items())
+
+
+def _candidates(t: Triple, z: Label, x: Label) -> Iterator[Label]:
+    """The candidate set C(z, x), lazily and in label order."""
+    return (y for y in t.y.alphabet if t._holds(z, x, y))
 
 
 def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
@@ -98,30 +102,23 @@ def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
     For any x of zero mass both sides vanish for every y, so the whole
     Y-alphabet is a candidate set there.
     """
-    ys = sorted(t.y.alphabet, key=label_key)
-    out: Dict[Tuple[Label, Label], List[Label]] = {}
-    for z in sorted(t.z.alphabet, key=label_key):
-        for x in sorted(t.x.alphabet, key=label_key):
-            want = t.z_given_x.prob(z, x)
-            out[(z, x)] = [
-                y for y in ys
-                if t.z_given_y.prob(z, y) * t.y_given_x.prob(y, x) == want
-            ]
-    return out
+    return {(z, x): list(_candidates(t, z, x)) for z in t.z.alphabet for x in t.x.alphabet}
 
 
 def find_mediator(t: Triple) -> Optional[MediatorFunction]:
     """A canonical mediator if one exists, else ``None``.
 
-    Cost is one exact product per (z, x, y) cell combination.  The returned
-    table takes the least admissible y in every cell, so repeated runs agree
-    bit for bit.
+    The returned table takes the least admissible y in every cell, so
+    repeated runs agree bit for bit; each cell's scan stops at that y, and
+    the search stops at the first cell without one.
     """
     table: Dict[Tuple[Label, Label], Label] = {}
-    for cell, candidates in mediator_candidates(t).items():
-        if not candidates:
-            return None
-        table[cell] = candidates[0]
+    for z in t.z.alphabet:
+        for x in t.x.alphabet:
+            y = next(_candidates(t, z, x), None)
+            if y is None:
+                return None
+            table[(z, x)] = y
     return MediatorFunction(table)
 
 

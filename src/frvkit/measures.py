@@ -1,12 +1,14 @@
 """Entropy-family measures: Shannon, joint, conditional entropy, and mutual
 information.
 
-Probabilities stay exact rationals right up to the logarithm; each term is
-converted to a float once and the terms are accumulated in a normalized
-order (ascending probability, then label) so that results are bit-identical
-across runs, under relabelings, and under transposition of a joint table.
-The ``0 * log 0 = 0`` convention is applied by skipping exact-zero entries
-before any logarithm is taken, so no NaN can arise.
+Probabilities stay exact right up to the logarithm: every measure is a sum
+over integer masses with a common integer total, and each term's
+probability is the correctly rounded quotient ``mass / total``, the same
+float that ``float(Fraction(mass, total))`` gives.  Terms are accumulated in
+ascending order of mass; equal masses give equal terms, so results are
+bit-identical across runs, under relabelings, and under transposition of a
+joint table.  The ``0 * log 0 = 0`` convention is applied by skipping exact
+zeros before any logarithm is taken, so no NaN can arise.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
@@ -17,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .core import FiniteRandomVariable, joint_table
+from .core import ZERO, FiniteRandomVariable, _check_weights, joint_masses
 from .errors import DomainMismatch, InvalidBase, NotAPmf
-from .labels import Label, label_key
+from .labels import Label
 
 DEFAULT_BASE = 2.0
 
@@ -39,33 +41,35 @@ def _log_for_base(base: float) -> Callable[[float], float]:
     return lambda value: math.log(value) / scale
 
 
+def _entropy(masses: Iterable[int], total: int, log: Callable[[float], float]) -> float:
+    """-sum p log p over p = mass / total, exact zeros skipped.
+
+    The terms are added in ascending order of mass.  Equal masses give equal
+    terms, so the result depends only on the multiset of masses, never on
+    labels or iteration order."""
+    acc = 0.0
+    for mass in sorted(masses):
+        if mass:
+            value = mass / total
+            acc += value * log(value)
+    return 0.0 - acc
+
+
 def entropy(distribution: Mapping[Label, Fraction], base: float = DEFAULT_BASE) -> float:
     """Shannon entropy -sum p log(p) of an exact distribution, in units of
-    log ``base``.  Always >= 0; exactly 0.0 for a point mass."""
+    log ``base``.  Always >= 0; exactly 0.0 for a point mass.  The values
+    must be ``Fraction``s summing to exactly 1."""
     log = _log_for_base(base)
-    total = Fraction(0)
-    terms = []
-    for label, mass in distribution.items():
-        if mass < 0:
-            raise NotAPmf(f"negative probability {mass}")
-        total += mass
-        if mass:
-            terms.append((mass, label))
-    if total != 1:
-        raise NotAPmf(f"probabilities sum to {total}, expected exactly 1")
-    terms.sort(key=lambda item: (item[0], label_key(item[1])))
-    acc = 0.0
-    for mass, _ in terms:
-        value = float(mass)
-        acc += value * log(value)
-    return 0.0 - acc
+    denominator, masses = _check_weights(distribution, "probability")
+    return _entropy(masses.values(), denominator, log)
 
 
 def joint_entropy(
     x: FiniteRandomVariable, y: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
     """Entropy of the joint distribution of ``(x, y)``."""
-    return entropy(joint_table(x, y).as_pmf(), base)
+    counts = joint_masses(x, y)
+    return _entropy(counts.values(), x.space.denominator, _log_for_base(base))
 
 
 @dataclass(frozen=True)
@@ -103,31 +107,32 @@ def conditional_kernel(
 ) -> ConditionalKernel:
     """Conditional distribution of ``target`` given each value of ``given``:
     joint cell divided by the conditioning mass, zero row at zero mass."""
-    table = joint_table(given, target)
-    masses = given.pmf
+    counts = joint_masses(given, target)
     rows: Dict[Label, Dict[Label, Fraction]] = {}
-    for x in given.alphabet:
-        mass = masses[x]
-        if mass:
-            rows[x] = {y: table.cell(x, y) / mass for y in target.alphabet}
-        else:
-            rows[x] = {y: Fraction(0) for y in target.alphabet}
+    for x, mass in given.masses.items():
+        rows[x] = {
+            y: Fraction(counts.get((x, y), 0), mass) if mass else ZERO
+            for y in target.alphabet
+        }
     return ConditionalKernel(given.alphabet, target.alphabet, rows)
 
 
 def conditional_entropy(
     given: FiniteRandomVariable, target: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
-    """H(target | given): mass-weighted entropy of the kernel rows."""
+    """H(target | given): mass-weighted entropy of the kernel rows, summed
+    over the conditioning labels in label order."""
     if given.space != target.space:
         raise DomainMismatch("conditional entropy requires a shared space")
-    kernel = conditional_kernel(given, target)
-    masses = given.pmf
+    log = _log_for_base(base)
+    rows: Dict[Label, List[int]] = {}
+    for (x, _), n in joint_masses(given, target).items():
+        rows.setdefault(x, []).append(n)
+    denominator = given.space.denominator
     acc = 0.0
-    for x in sorted(given.alphabet, key=label_key):
-        mass = masses[x]
+    for x, mass in given.masses.items():
         if mass:
-            acc += float(mass) * entropy(kernel.rows[x], base)
+            acc += (mass / denominator) * _entropy(rows[x], mass, log)
     return acc + 0.0
 
 
@@ -137,7 +142,13 @@ def mutual_information(
     """H(x) + H(y) - H(x, y), evaluated in exactly that order.
 
     Keeping the evaluation order fixed makes results reproducible to the
-    last bit; the normalized summation inside :func:`entropy` then makes the
+    last bit; the mass-ordered summation inside each entropy then makes the
     value symmetric in its arguments to the last bit as well.
     """
-    return (entropy(x.pmf, base) + entropy(y.pmf, base)) - joint_entropy(x, y, base)
+    log = _log_for_base(base)
+    counts = joint_masses(x, y)
+    denominator = x.space.denominator
+    return (
+        _entropy(x.masses.values(), denominator, log)
+        + _entropy(y.masses.values(), denominator, log)
+    ) - _entropy(counts.values(), denominator, log)

@@ -284,3 +284,101 @@ def test_information_against_own_product_collapses(rng):
         assert abs(
             mutual_information(product, y) - mutual_information(y, y)
         ) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Corpus building never crashes on a valid seed
+
+
+def test_corpus_builds_for_every_seed_at_a_small_count():
+    # 24 instances give one random convergent sequence per corpus; a draw of
+    # two constant variables used to leave it without a receiver cell.
+    for seed in range(200):
+        corpus = build_audit_corpus(seed=seed, instances=24)
+        assert len(corpus.sequences) == 3
+
+
+def test_corpus_builds_at_a_large_count():
+    corpus = build_audit_corpus(seed=17, instances=128)
+    assert len(corpus.sequences) == 16
+    for inst in corpus.sequences:
+        assert len(inst.limit) > 1
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values and exceptions fail; they never pass
+
+
+def _alphabet_guard(value):
+    """Mutual information, except ``value`` whenever an alphabet has more
+    than two labels."""
+    def fn(x, y):
+        if len(x.alphabet) > 2 or len(y.alphabet) > 2:
+            return value
+        return mutual_information(x, y)
+
+    return fn
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_values_fail_with_a_counterexample(value, small_corpus):
+    candidate = CandidateFunctional("non_finite", _alphabet_guard(value))
+    result = audit(candidate, corpus=small_corpus)
+    assert not result.passed and result.failed_axioms and result.probe is None
+    for report in result.reports:
+        if not report.passed:
+            assert report.counterexample is not None
+            recorded = report.counterexample["max_residual"]
+            assert recorded != recorded or recorded == float("inf")
+
+
+def test_raising_functional_fails_every_check_with_the_exception_recorded(small_corpus):
+    def boom(x, y):
+        raise ZeroDivisionError("no information here")
+
+    result = audit(CandidateFunctional("raises", boom), corpus=small_corpus)
+    assert result.failed_axioms == (1, 2, 3, 4, 5, 6)
+    for report in result.reports:
+        assert report.counterexample["error"] == "ZeroDivisionError: no information here"
+    json.loads(json.dumps(result.as_document()))  # the report still serializes
+
+
+def test_nan_at_an_early_probe_fails_continuity():
+    from frvkit import PmfSequence
+    from frvkit.axioms import SequenceInstance, check_continuity
+
+    quarter = Fraction(1, 4)
+    cells = (("r1", "c1"), ("r1", "c2"), ("r2", "c1"), ("r2", "c2"))
+
+    def term(n):
+        d = Fraction(1, 4 * n)
+        return dict(zip(cells, (quarter + d, quarter - d, quarter - d, quarter + d)))
+
+    def nan_at_first_probe(x, y):
+        if any(w.denominator == 4000 for w in x.space.weights.values()):
+            return float("nan")
+        return mutual_information(x, y)
+
+    instance = SequenceInstance(PmfSequence(cells, term), dict(zip(cells, [quarter] * 4)))
+    candidate = CandidateFunctional("nan_early", nan_at_first_probe)
+    report = check_continuity(candidate, [instance], 1e-9)
+    assert not report.passed
+    assert report.max_residual != report.max_residual  # NaN
+    assert report.counterexample is not None
+
+
+def test_probe_fails_on_nan_and_on_exceptions(small_corpus):
+    pairs = small_corpus.probe_pairs()
+    nan_report = characterization_probe(
+        CandidateFunctional("nan", _alphabet_guard(float("nan"))), pairs
+    )
+    assert not nan_report.passed and nan_report.error is None
+
+    def raise_on_constants(x, y):
+        if x.is_constant() or y.is_constant():
+            raise KeyError("constant")
+        return mutual_information(x, y)
+
+    raised = characterization_probe(CandidateFunctional("raises", raise_on_constants), pairs)
+    assert not raised.passed
+    assert raised.as_document()["error"] == "KeyError: 'constant'"

@@ -302,3 +302,29 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("error", [IndexError("internal"), KeyError("internal")])
+def test_internal_error_is_not_reported_as_bad_input(tmp_path, monkeypatch, error):
+    def broken(triple):
+        raise error
+
+    monkeypatch.setattr("frvkit.cli.find_mediator", broken)
+    variables = dict(THREE_POINT["variables"], Z=THREE_POINT["variables"]["X"])
+    path = write_doc(tmp_path, dict(THREE_POINT, variables=variables))
+    with pytest.raises(type(error)):
+        main(["triangle", path])
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"version": 1, "label": "\xe9"}')
+    code, _, err = run(capsys, "compute", str(undecodable))
+    assert code == 2 and "latin1.json" in err
+
+    too_long = tmp_path / "digits.json"
+    too_long.write_text('{"version": 1' + "0" * 5000 + "}")
+    assert run(capsys, "compute", str(too_long))[0] == 2
+
+    code, _, err = run(capsys, "audit", "--functional", "mutual_information", "--instances", "3")
+    assert code == 2 and "--instances" in err

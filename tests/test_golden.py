@@ -1,0 +1,174 @@
+"""Golden outputs: measure values to the last bit and CLI outputs to the
+last byte, recorded once and compared on every run.
+
+The measures sweep stores ``float.hex`` of every entropy-family value on
+fixed-seed pairs with alphabets of 2 to 256 labels, mixed weight
+denominators and zero-mass labels.  The CLI goldens store the exact bytes
+of ``frvkit audit --all`` at fixed seeds and of ``compute`` and
+``triangle --emit-mediator`` on the documents in ``golden/documents.json``.
+
+Run ``PYTHONPATH=src python tests/test_golden.py --record`` to rewrite the
+files; do that only on a commit whose outputs are trusted, since these
+tests exist to catch any change in them.
+"""
+
+import contextlib
+import io
+import json
+import math
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from frvkit import (
+    canonical_product,
+    conditional_entropy,
+    entropy,
+    joint_entropy,
+    mutual_information,
+    space,
+    variable,
+)
+from frvkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (|X|, |Y|, outcomes) of the measures sweep; each shape runs twice, with
+# an even and an odd case index.
+SHAPES = (
+    (2, 2, 4), (2, 3, 6), (3, 2, 9), (4, 4, 12), (2, 16, 40), (16, 2, 40),
+    (8, 8, 64), (16, 16, 48), (5, 32, 96), (32, 32, 200), (64, 8, 160),
+    (8, 64, 300), (64, 64, 256), (100, 30, 400), (128, 16, 512),
+    (16, 128, 700), (256, 4, 600), (4, 256, 1024), (256, 256, 1024),
+    (200, 256, 2048),
+)
+AUDIT_SEEDS = (4, 17)
+
+
+def sweep_pair(index: int, size_x: int, size_y: int, n: int):
+    """Case ``index``: a pair on ``n`` outcomes with mixed denominators.  In
+    odd cases the outcomes of label ``x0`` all weigh zero, so ``x0`` has
+    zero mass; in cases divisible by 3, Y is the pairing of X with the
+    drawn labels."""
+    rng = random.Random(f"golden/{index}/{size_x}/{size_y}/{n}")
+    outcomes = [f"w{k}" for k in range(n)]
+
+    def surjection(size, prefix):
+        labels = [f"{prefix}{k}" for k in range(size)]
+        drawn = labels + [rng.choice(labels) for _ in range(n - size)]
+        rng.shuffle(drawn)
+        return dict(zip(outcomes, drawn))
+
+    xs, ys = surjection(size_x, "x"), surjection(size_y, "y")
+    silent = {w for w in outcomes if index % 2 and xs[w] == "x0"}
+    carriers = [w for w in outcomes if w not in silent]
+    weights = {w: Fraction(0) for w in silent}
+    for w in carriers[:-1]:
+        # At most 1/n each, so the remainder left for the last carrier is positive.
+        weights[w] = Fraction(rng.randint(0, 2), 2 * n * rng.randint(1, 6))
+    weights[carriers[-1]] = 1 - sum(weights.values())
+    sp = space({w: weights[w] for w in outcomes})
+    x, y = variable(sp, xs), variable(sp, ys)
+    if index % 3 == 0:
+        y = canonical_product(x, y)
+    return x, y
+
+
+def measure_values(x, y) -> dict:
+    values = {
+        "H(X)": entropy(x.pmf),
+        "H(Y)": entropy(y.pmf),
+        "H(space)": entropy(dict(x.space.weights)),
+        "H(X,Y)": joint_entropy(x, y),
+        "H(Y|X)": conditional_entropy(x, y),
+        "H(X|Y)": conditional_entropy(y, x),
+        "I(X,Y)": mutual_information(x, y),
+        "I(X,Y) base e": mutual_information(x, y, math.e),
+        "H(Y|X) base 3": conditional_entropy(x, y, 3.0),
+    }
+    return {key: value.hex() for key, value in values.items()}
+
+
+def sweep_cases():
+    return [(index, *shape) for index, shape in enumerate(SHAPES * 2)]
+
+
+def cli_runs(documents_path: Path):
+    """Every recorded command line, as (name, argv)."""
+    documents = json.loads(documents_path.read_text())
+    runs = [
+        (f"audit_all_seed{seed}", ["audit", "--all", "--seed", str(seed)]) for seed in AUDIT_SEEDS
+    ]
+    for name, doc in documents["pairs"].items():
+        runs.append((f"compute_{name}_json", ["compute", doc, "--format", "json"]))
+        runs.append((f"compute_{name}_text_e", ["compute", doc, "--base", "e"]))
+    for name, doc in documents["triangles"].items():
+        runs.append(
+            (f"triangle_{name}_json", ["triangle", doc, "--emit-mediator", "--format", "json"])
+        )
+        runs.append((f"triangle_{name}_text", ["triangle", doc, "--emit-mediator"]))
+    return runs
+
+
+def run_cli(argv, tmp_path: Path):
+    """Exit code and stdout of ``frvkit ARGV``; document arguments are
+    written to files under ``tmp_path`` first."""
+    resolved = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / f"doc{len(resolved)}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        resolved.append(arg)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(resolved)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def measures_golden():
+    return json.loads((GOLDEN / "measures.json").read_text())
+
+
+@pytest.mark.parametrize("case", sweep_cases(), ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}x{c[3]}")
+def test_measures_bit_identical(case, measures_golden):
+    index, size_x, size_y, n = case
+    x, y = sweep_pair(index, size_x, size_y, n)
+    assert measure_values(x, y) == measures_golden[str(index)]
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    cli_runs(GOLDEN / "documents.json"),
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_cli_output_byte_identical(name, argv, tmp_path):
+    code, out = run_cli(argv, tmp_path)
+    expected = json.loads((GOLDEN / "cli.json").read_text())[name]
+    assert code == expected["code"]
+    assert out == expected["stdout"]
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    measures = {}
+    for index, size_x, size_y, n in sweep_cases():
+        measures[str(index)] = measure_values(*sweep_pair(index, size_x, size_y, n))
+    (GOLDEN / "measures.json").write_text(json.dumps(measures, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        outputs = {}
+        for name, argv in cli_runs(GOLDEN / "documents.json"):
+            code, out = run_cli(argv, Path(scratch))
+            outputs[name] = {"code": code, "stdout": out}
+    (GOLDEN / "cli.json").write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    record()

@@ -25,9 +25,9 @@ from frvkit import (
     verify_mediator,
     weak_functoriality_residual,
 )
-from frvkit.generators import random_pair, random_triple
+from frvkit.generators import random_pair, random_space, random_triple, random_variable
 from frvkit.markov import compose_function
-from oracles import brute_force_has_mediator
+from oracles import brute_force_has_mediator, oracle_mediator_candidates
 
 half = Fraction(1, 2)
 
@@ -144,6 +144,43 @@ def test_any_candidate_selection_is_a_mediator(seed):
     assert all(candidates.values())
     table = {cell: rng.choice(options) for cell, options in candidates.items()}
     assert verify_mediator(t, MediatorFunction(table))
+
+
+def _sweep_triple(seed):
+    """Seed ``seed`` of the sweep: a generated triangle of each family in
+    turn, or a random triple whose space may carry zero-weight outcomes (so
+    that some labels have zero mass)."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        family = "abcd"[seed // 3 % 4]
+        return generate_markov_triangle(
+            rng.randrange(2**32), max_alphabet=3, max_outcomes=5, family=family
+        )
+    sizes = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+    sp = random_space(rng, rng.randint(max(sizes), 6), allow_zero=seed % 3 == 1)
+    return Triple(*(
+        random_variable(rng, sp, size, prefix=prefix) for size, prefix in zip(sizes, "xyz")
+    ))
+
+
+def test_search_matches_dense_oracle_candidates_over_a_seed_sweep():
+    zero_mass = with_mediator = without = 0
+    for seed in range(240):
+        t = _sweep_triple(seed)
+        dense = oracle_mediator_candidates(t)
+        assert mediator_candidates(t) == dense
+        mediator = find_mediator(t)
+        if all(dense.values()):
+            assert mediator is not None
+            assert mediator.table == {cell: ys[0] for cell, ys in dense.items()}
+            assert verify_mediator(t, mediator)
+        else:
+            assert mediator is None
+        assert (mediator is not None) == brute_force_has_mediator(t)
+        with_mediator += mediator is not None
+        without += mediator is None
+        zero_mass += any(not m for v in (t.x, t.y, t.z) for m in v.pmf.values())
+    assert with_mediator and without and zero_mass
 
 
 def test_zero_mass_conditioning_label_accepts_every_candidate():
