@@ -22,6 +22,7 @@ exception.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -501,15 +502,15 @@ def _hand_mixture() -> MixtureInstance:
     )
 
 
-def _symmetric_drift_sequence() -> SequenceInstance:
-    """2x2 joint [[1/4 + d, 1/4 - d], [1/4 - d, 1/4 + d]] with d = 1/(4n);
-    the limit is an independent pair of fair coins."""
+def _drift_sequence(rate: Callable[[int], int], description: str) -> SequenceInstance:
+    """2x2 joint [[1/4 + d, 1/4 - d], [1/4 - d, 1/4 + d]] with
+    d = 1/(4 rate(n)); the limit is an independent pair of fair coins."""
     quarter = Fraction(1, 4)
     labels = (("r1", "c1"), ("r1", "c2"), ("r2", "c1"), ("r2", "c2"))
     limit = {lab: quarter for lab in labels}
 
     def generator(n: int):
-        delta = Fraction(1, 4 * n)
+        delta = Fraction(1, 4 * rate(n))
         return {
             ("r1", "c1"): quarter + delta,
             ("r1", "c2"): quarter - delta,
@@ -520,34 +521,7 @@ def _symmetric_drift_sequence() -> SequenceInstance:
     return SequenceInstance(
         sequence=PmfSequence(labels, generator, stabilization_index=1),
         limit=limit,
-        description="symmetric 2x2 drift toward independent fair coins",
-    )
-
-
-def _slow_drift_sequence() -> SequenceInstance:
-    """Like the symmetric drift but at square-root rate, d = 1/(4 isqrt(n)).
-
-    Converges to the same independent limit, yet slowly enough that the
-    residual information at every probe index stays far above double-
-    precision resolution; this is what separates genuinely continuous
-    functionals from thresholded ones."""
-    quarter = Fraction(1, 4)
-    labels = (("r1", "c1"), ("r1", "c2"), ("r2", "c1"), ("r2", "c2"))
-    limit = {lab: quarter for lab in labels}
-
-    def generator(n: int):
-        delta = Fraction(1, 4 * math.isqrt(n))
-        return {
-            ("r1", "c1"): quarter + delta,
-            ("r1", "c2"): quarter - delta,
-            ("r2", "c1"): quarter - delta,
-            ("r2", "c2"): quarter + delta,
-        }
-
-    return SequenceInstance(
-        sequence=PmfSequence(labels, generator, stabilization_index=1),
-        limit=limit,
-        description="square-root-rate 2x2 drift toward independent fair coins",
+        description=description,
     )
 
 
@@ -648,13 +622,11 @@ def build_audit_corpus(seed: int = DEFAULT_SEED, instances: int = DEFAULT_INSTAN
         instances,
         salt=1,
     )
+    coin = _duplicated_coin().x
     vacuity = fill(
         [
-            VacuityInstance(_duplicated_coin().x, constant_variable(_duplicated_coin().x.space, "c")),
-            VacuityInstance(
-                constant_variable(_duplicated_coin().x.space, "c1"),
-                constant_variable(_duplicated_coin().x.space, "c2"),
-            ),
+            VacuityInstance(coin, constant_variable(coin.space, "c")),
+            VacuityInstance(constant_variable(coin.space, "c1"), constant_variable(coin.space, "c2")),
         ],
         lambda rng: VacuityInstance(*random_vacuity_pair(rng)),
         instances,
@@ -673,16 +645,23 @@ def build_audit_corpus(seed: int = DEFAULT_SEED, instances: int = DEFAULT_INSTAN
         salt=4,
     )
     base = _correlated_table_pair()
-    canonical_triangle = Triple(base.x, canonical_product(base.x, base.y), base.y)
-    triangle_rng = random.Random(seed * 1_000_003 + 5)
-    triangle_list: List[Triple] = [canonical_triangle]
-    while len(triangle_list) < instances:
-        family = "abcd"[len(triangle_list) % 4]
-        triangle_list.append(
-            generate_markov_triangle(triangle_rng.randrange(2**32), family=family)
-        )
+    # Instance i is of family "abcd"[i % 4]; instance 0 is the canonical one.
+    families = itertools.cycle("bcda")
+    triangles = fill(
+        [Triple(base.x, canonical_product(base.x, base.y), base.y)],
+        lambda rng: generate_markov_triangle(rng.randrange(2**32), family=next(families)),
+        instances,
+        salt=5,
+    )
     sequences = fill(
-        [_symmetric_drift_sequence(), _slow_drift_sequence()],
+        [
+            _drift_sequence(lambda n: n, "symmetric 2x2 drift toward independent fair coins"),
+            # Square-root rate: the same limit, reached slowly enough that the
+            # residual information at every probe index stays far above
+            # double-precision resolution; this separates genuinely continuous
+            # functionals from thresholded ones.
+            _drift_sequence(math.isqrt, "square-root-rate 2x2 drift toward independent fair coins"),
+        ],
         _random_sequence,
         max(2, instances // 8),
         salt=6,
@@ -694,7 +673,7 @@ def build_audit_corpus(seed: int = DEFAULT_SEED, instances: int = DEFAULT_INSTAN
         vacuity=vacuity,
         mixtures=mixtures,
         pullbacks=pullbacks,
-        triangles=tuple(triangle_list),
+        triangles=triangles,
         sequences=sequences,
     )
 

@@ -280,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--kind", choices=("pair", "triangle"), default="pair")
     generate.add_argument("--count", type=int, default=10)
     generate.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    generate.add_argument("--family", choices=("a", "b", "c", "d"),
-                          help="fix the triangle construction family")
-    generate.add_argument("--rejection", action="store_true",
-                          help="draw unconstrained triples until one is a triangle")
+    recipe = generate.add_mutually_exclusive_group()
+    recipe.add_argument("--family", choices=("a", "b", "c", "d"),
+                        help="fix the triangle construction family")
+    recipe.add_argument("--rejection", action="store_true",
+                        help="draw unconstrained triples until one is a triangle")
     generate.add_argument("--out", help="write output to a file instead of stdout")
     generate.set_defaults(handler=cmd_generate)
     return parser

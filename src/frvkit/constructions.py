@@ -1,5 +1,5 @@
-"""Convex structure on variables and pairs, relabelings, and weak-convergence
-probing.
+"""Convex structure on variables and pairs, push-forwards and relabelings,
+and weak-convergence probing.
 
 A weighted convex sum of variables lives on the mixture space (tag, omega)
 and takes values in a tagged disjoint union of the component alphabets.  The
@@ -54,13 +54,16 @@ def bijection(mapping: Mapping[Label, Label]) -> Relabeling:
     return Relabeling(tuple(sort_labels(m)), tuple(sort_labels(set(m.values()))), m)
 
 
+def push_forward(x: FiniteRandomVariable, mapping: Mapping[Label, Label]) -> FiniteRandomVariable:
+    """The variable omega -> mapping(x(omega)); its alphabet is the image."""
+    return FiniteRandomVariable(x.space, {w: mapping[lab] for w, lab in x.assignment.items()})
+
+
 def relabel(x: FiniteRandomVariable, f: Relabeling) -> FiniteRandomVariable:
     """Compose a variable with a bijective relabeling of its alphabet."""
     if set(f.source_alphabet) != set(x.alphabet):
         raise AlphabetMismatch("relabeling source alphabet differs from the variable's")
-    return FiniteRandomVariable(
-        x.space, {w: f.mapping[lab] for w, lab in x.assignment.items()}
-    )
+    return push_forward(x, f.mapping)
 
 
 def tag_label(tag: Label, label: Label) -> Label:

@@ -77,20 +77,15 @@ class SampleSpace:
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "masses", masses)
 
-    def weight(self, outcome: Outcome) -> Fraction:
-        return self.weights[outcome]
-
-    def sorted_outcomes(self) -> list:
-        return sort_labels(self.outcomes)
-
     def __repr__(self):
         parts = ", ".join(f"{label_text(w)}={self.weights[w]}" for w in self.outcomes)
         return f"SampleSpace({parts})"
 
 
 def space(weights: Mapping[Outcome, "Fraction | int | str"]) -> SampleSpace:
-    """Convenience constructor; coerces weight values through ``Fraction``."""
-    converted = {key: Fraction(value) for key, value in weights.items()}
+    """Convenience constructor; coerces weight values that are not already
+    ``Fraction``s (ints, ``"num/den"`` strings) through ``Fraction``."""
+    converted = {k: v if type(v) is Fraction else Fraction(v) for k, v in weights.items()}
     return SampleSpace(tuple(converted), converted)
 
 
@@ -179,18 +174,6 @@ class JointTable:
 
     def cell(self, x: Label, y: Label) -> Fraction:
         return self.cells[(x, y)]
-
-    def row_marginal(self) -> Dict[Label, Fraction]:
-        out = {x: ZERO for x in self.row_alphabet}
-        for (x, _), value in self.cells.items():
-            out[x] += value
-        return out
-
-    def col_marginal(self) -> Dict[Label, Fraction]:
-        out = {y: ZERO for y in self.col_alphabet}
-        for (_, y), value in self.cells.items():
-            out[y] += value
-        return out
 
     def as_pmf(self) -> Dict[Tuple[Label, Label], Fraction]:
         return dict(self.cells)

@@ -32,7 +32,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
-from .core import FiniteRandomVariable, SampleSpace
+from .core import FiniteRandomVariable, SampleSpace, canonical_pair
 from .errors import DocumentError, FrvError
 from .labels import Label, decode_label, encode_label, label_key
 
@@ -162,22 +162,22 @@ def _expand_joint_shorthand(obj, path: str) -> Tuple[SampleSpace, Dict[str, Fini
         raise DocumentError(f"{path}.cells", f"expected {len(rows)} rows")
     row_labels = [_decode_label(r, f"{path}.rows") for r in rows]
     col_labels = [_decode_label(c, f"{path}.cols") for c in cols]
-    outcomes = []
-    weights = {}
+    for labels, key in ((row_labels, "rows"), (col_labels, "cols")):
+        if len(set(labels)) != len(labels):
+            raise DocumentError(f"{path}.{key}", "duplicate label")
+    joint = {}
     for i, row in enumerate(cells):
         if not isinstance(row, list) or len(row) != len(cols):
             raise DocumentError(f"{path}.cells[{i}]", f"expected {len(cols)} entries")
         for j, entry in enumerate(row):
-            outcome = (row_labels[i], col_labels[j])
-            outcomes.append(outcome)
-            weights[outcome] = _parse_probability(entry, f"{path}.cells[{i}][{j}]")
+            joint[row_labels[i], col_labels[j]] = _parse_probability(
+                entry, f"{path}.cells[{i}][{j}]"
+            )
     try:
-        sp = SampleSpace(tuple(outcomes), weights)
-        first = FiniteRandomVariable(sp, {w: w[0] for w in outcomes})
-        second = FiniteRandomVariable(sp, {w: w[1] for w in outcomes})
+        first, second = canonical_pair(joint)
     except FrvError as exc:
         raise DocumentError(path, str(exc)) from None
-    return sp, {"X": first, "Y": second}
+    return first.space, {"X": first, "Y": second}
 
 
 def parse_instance_document(obj) -> Tuple[SampleSpace, Dict[str, FiniteRandomVariable]]:

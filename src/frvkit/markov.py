@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import FiniteRandomVariable, canonical_product, joint_masses
-from .constructions import relabel
+from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
@@ -147,13 +147,6 @@ def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     )
 
 
-def compose_function(x: FiniteRandomVariable, mapping: Dict[Label, Label]) -> FiniteRandomVariable:
-    """The variable omega -> mapping(x(omega)); its alphabet is the image."""
-    return FiniteRandomVariable(
-        x.space, {w: mapping[lab] for w, lab in x.assignment.items()}
-    )
-
-
 def generate_markov_triangle(
     seed: int,
     max_alphabet: int = 4,
@@ -177,9 +170,11 @@ def generate_markov_triangle(
     triples (alphabets capped at three for tractable hit rates) are drawn
     until one happens to admit a mediator; that mode is slower and biased
     toward small alphabets, and is intended only for exploring the landscape
-    of accidental triangles.  Every result is re-validated by
-    :func:`find_mediator` before return.
+    of accidental triangles, and a ``family`` with it is a ``ValueError``.
+    Every result is re-validated by :func:`find_mediator` before return.
     """
+    if rejection and family is not None:
+        raise ValueError("family and rejection are mutually exclusive")
     rng = random.Random(seed)
     if rejection:
         for _ in range(10_000):
@@ -200,8 +195,8 @@ def generate_markov_triangle(
     elif kind == "c":
         t = Triple(x, y, relabel(y, random_bijection(rng, y.alphabet, prefix="gy")))
     else:
-        mid = compose_function(x, random_function(rng, x.alphabet, rng.randint(1, max_alphabet), prefix="p"))
-        last = compose_function(mid, random_function(rng, mid.alphabet, rng.randint(1, max_alphabet), prefix="q"))
+        mid = push_forward(x, random_function(rng, x.alphabet, rng.randint(1, max_alphabet), prefix="p"))
+        last = push_forward(mid, random_function(rng, mid.alphabet, rng.randint(1, max_alphabet), prefix="q"))
         t = Triple(x, mid, last)
     if find_mediator(t) is None:
         raise RuntimeError(f"generated family-{kind} triple failed mediator validation")

@@ -288,6 +288,23 @@ def test_generate_triangle_corpus_feeds_triangle_command(tmp_path, capsys):
         assert report["is_markov_triangle"] is True
 
 
+def test_generate_family_and_rejection_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--kind", "triangle", "--rejection", "--family", "a"])
+    assert excinfo.value.code == 2
+    assert "not allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_compute_repeated_shorthand_label_exits_2(tmp_path, capsys, axis):
+    # Merging the repeats would leave a valid table, so only the check fails it.
+    joint = {"rows": ["a", "b"], "cols": ["u", "v"], "cells": [["0/1", "0/1"], ["0/1", "1/1"]]}
+    joint[axis] = ["a", "a"]
+    code, _, err = run(capsys, "compute", write_doc(tmp_path, {"version": 1, "joint": joint}))
+    assert code == 2
+    assert "joint" in err
+
+
 def test_round_trip_is_byte_identical(tmp_path):
     canonical = serialize_document(THREE_POINT)
     reparsed = parse_instance_document(load_document(canonical))

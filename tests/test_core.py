@@ -75,8 +75,13 @@ def test_joint_marginals_match_pmfs(rng):
     for _ in range(50):
         x, y = random_pair(rng)
         jt = joint_table(x, y)
-        assert jt.row_marginal() == x.pmf
-        assert jt.col_marginal() == y.pmf
+        rows = dict.fromkeys(jt.row_alphabet, 0)
+        cols = dict.fromkeys(jt.col_alphabet, 0)
+        for (a, b), value in jt.cells.items():
+            rows[a] += value
+            cols[b] += value
+        assert rows == x.pmf
+        assert cols == y.pmf
         assert sum(jt.cells.values()) == 1
 
 
@@ -180,6 +185,15 @@ def test_space_rejects_bad_weight_sums():
         space({"a": Fraction(1, 2), "b": Fraction(1, 3)})
     with pytest.raises(NotAPmf):
         space({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+
+
+def test_space_coerces_int_and_string_weights():
+    half = Fraction(1, 2)
+    mixed = space({"a": 0, "b": "1/4", "c": Fraction(1, 4), "d": half})
+    exact = space({"a": Fraction(0), "b": Fraction(1, 4), "c": Fraction(1, 4), "d": half})
+    assert mixed == exact
+    assert all(type(value) is Fraction for value in mixed.weights.values())
+    assert mixed.weights["d"] is half
 
 
 def test_space_allows_zero_weight_outcomes():

@@ -82,6 +82,18 @@ def test_version_and_shape_errors():
         )
 
 
+def test_joint_shorthand_rejects_repeated_labels():
+    # Repeats would otherwise merge into fewer cells instead of failing.
+    for rows, cols, cells in (
+        (["a", "a"], ["u"], [["0/1"], ["1/1"]]),
+        (["a"], ["u", "u"], [["0/1", "1/1"]]),
+    ):
+        with pytest.raises(DocumentError):
+            parse_instance_document(
+                {"version": 1, "joint": {"rows": rows, "cols": cols, "cells": cells}}
+            )
+
+
 def test_load_document_reports_position():
     with pytest.raises(DocumentError) as excinfo:
         load_document("{broken")

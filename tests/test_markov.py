@@ -25,8 +25,8 @@ from frvkit import (
     verify_mediator,
     weak_functoriality_residual,
 )
+from frvkit.constructions import push_forward
 from frvkit.generators import random_pair, random_space, random_triple, random_variable
-from frvkit.markov import compose_function
 from oracles import brute_force_has_mediator, oracle_mediator_candidates
 
 half = Fraction(1, 2)
@@ -106,8 +106,8 @@ def test_verify_mediator_rejects_partial_or_foreign_tables():
 
 def test_deterministic_chain_has_mediator(rng):
     x, _ = random_pair(rng, max_alphabet=4)
-    mid = compose_function(x, {lab: f"p{i % 2}" for i, lab in enumerate(x.alphabet)})
-    last = compose_function(mid, {lab: "q0" for lab in mid.alphabet})
+    mid = push_forward(x, {lab: f"p{i % 2}" for i, lab in enumerate(x.alphabet)})
+    last = push_forward(mid, {lab: "q0" for lab in mid.alphabet})
     t = Triple(x, mid, last)
     mediator = find_mediator(t)
     assert mediator is not None
@@ -242,3 +242,8 @@ def test_rejection_mode_finds_accidental_triangles():
 def test_generator_rejects_unknown_family():
     with pytest.raises(ValueError):
         generate_markov_triangle(0, family="x")
+
+
+def test_rejection_mode_takes_no_family():
+    with pytest.raises(ValueError):
+        generate_markov_triangle(0, family="a", rejection=True)
