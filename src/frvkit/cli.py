@@ -28,6 +28,7 @@ from .axioms import (
     MIN_INSTANCES,
     PROBE_TOLERANCE,
     audit,
+    build_audit_corpus,
     builtin_functionals,
     get_functional,
 )
@@ -200,14 +201,9 @@ def cmd_audit(args) -> int:
         raise DocumentError(
             "--instances", f"must be at least {MIN_INSTANCES}, got {args.instances}"
         )
+    corpus = build_audit_corpus(args.seed, args.instances)
     results = [
-        audit(
-            functional,
-            seed=args.seed,
-            instances=args.instances,
-            tolerance=args.tol,
-            probe_tolerance=args.probe_tol,
-        )
+        audit(functional, tolerance=args.tol, probe_tolerance=args.probe_tol, corpus=corpus)
         for functional in functionals
     ]
     if len(results) == 1:

@@ -10,6 +10,14 @@ at every cell, in exact arithmetic.  The right-hand side constrains each
 cell independently of the others, so search reduces to per-cell candidate
 sets: a mediator exists iff every cell's candidate set is nonempty, and the
 lexicographically least candidate per cell gives a canonical witness.
+
+Candidates are found by a support-row walk.  Over integer masses the
+equation reads n(x,z) n(y) = n(y,z) n(x,y).  Where n(x,z) > 0 both sides
+must be positive, so only the labels y of x's support row, those with
+n(x,y) > 0, can hold, and only that row is walked.  Where n(x,z) = 0 every
+y off the row holds, so the walk over the whole Y-alphabet meets a
+candidate within |row| + 1 tests.  Both walks go in label order, so the
+candidate lists are exactly those of a dense scan.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
-from .measures import DEFAULT_BASE, conditional_entropy, mutual_information
+from .measures import DEFAULT_BASE, _conditional_entropy, _log_for_base, _mutual_information
 
 FAMILIES = ("a", "b", "c", "d")
 
@@ -32,7 +40,8 @@ FAMILIES = ("a", "b", "c", "d")
 @dataclass(frozen=True)
 class Triple:
     """Three variables on one shared space, with cached integer joint masses
-    n(x,y), n(y,z) and n(x,z) over the space's denominator."""
+    n(x,y), n(y,z) and n(x,z) over the space's denominator, and the support
+    row of every x."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -46,6 +55,16 @@ class Triple:
     def _joint(self) -> Tuple[Dict, Dict, Dict]:
         x, y, z = self.x, self.y, self.z
         return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
+
+    @cached_property
+    def _rows(self) -> Dict[Label, List[Label]]:
+        """x -> its support row: the labels y with n(x,y) > 0, in label order."""
+        xy = self._joint[0]
+        rank = {y: i for i, y in enumerate(self.y.alphabet)}
+        rows: Dict[Label, List[Label]] = {x: [] for x in self.x.alphabet}
+        for x, y in sorted((c for c, n in xy.items() if n), key=lambda c: rank[c[1]]):
+            rows[x].append(y)
+        return rows
 
     def _holds(self, z: Label, x: Label, y: Label) -> bool:
         """The mediator equation P(z|x) = P(z|y) P(y|x) at one cell, exactly.
@@ -92,8 +111,10 @@ def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
 
 
 def _candidates(t: Triple, z: Label, x: Label) -> Iterator[Label]:
-    """The candidate set C(z, x), lazily and in label order."""
-    return (y for y in t.y.alphabet if t._holds(z, x, y))
+    """The candidate set C(z, x), lazily and in label order: x's support row
+    where n(x,z) > 0, the whole Y-alphabet otherwise."""
+    ys = t._rows[x] if t._joint[2].get((x, z)) else t.y.alphabet
+    return (y for y in ys if t._holds(z, x, y))
 
 
 def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
@@ -109,8 +130,10 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
     """A canonical mediator if one exists, else ``None``.
 
     The returned table takes the least admissible y in every cell, so
-    repeated runs agree bit for bit; each cell's scan stops at that y, and
-    the search stops at the first cell without one.
+    repeated runs agree bit for bit.  Each cell's walk stops at that y: it
+    tests only x's support row where n(x,z) > 0, and at most |row| + 1
+    labels where n(x,z) = 0.  The search stops at the first cell without a
+    candidate.
     """
     table: Dict[Tuple[Label, Label], Label] = {}
     for z in t.z.alphabet:
@@ -128,22 +151,31 @@ def is_markov_triangle(t: Triple) -> bool:
 
 def weak_functoriality_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     """I(X,Z) - I(X,Y) - I(Y,Z) + I(Y,Y); within 1e-9 of zero on Markov
-    triangles, and a useful diagnostic signal on arbitrary triples."""
+    triangles, and a useful diagnostic signal on arbitrary triples.  The
+    joint masses are the triple's cached ones; I(Y,Y) takes the masses of Y,
+    whose nonzero values are those of the (Y, Y) joint cells."""
+    log = _log_for_base(base)
+    total = t.x.space.denominator
+    xy, yz, xz = (counts.values() for counts in t._joint)
+    x, y, z = (v.masses.values() for v in (t.x, t.y, t.z))
     return (
-        mutual_information(t.x, t.z, base)
-        - mutual_information(t.x, t.y, base)
-        - mutual_information(t.y, t.z, base)
-        + mutual_information(t.y, t.y, base)
+        _mutual_information(x, z, xz, total, log)
+        - _mutual_information(x, y, xy, total, log)
+        - _mutual_information(y, z, yz, total, log)
+        + _mutual_information(y, y, y, total, log)
     )
 
 
 def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     """H(Z|X) - H(Z|Y) - H(Y|X); conditional entropy composes additively
     over Markov triangles, so this vanishes there."""
+    log = _log_for_base(base)
+    total = t.x.space.denominator
+    xy, yz, xz = t._joint
     return (
-        conditional_entropy(t.x, t.z, base)
-        - conditional_entropy(t.y, t.z, base)
-        - conditional_entropy(t.x, t.y, base)
+        _conditional_entropy(xz, t.x.masses, total, log)
+        - _conditional_entropy(yz, t.y.masses, total, log)
+        - _conditional_entropy(xy, t.x.masses, total, log)
     )
 
 

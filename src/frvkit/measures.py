@@ -117,6 +117,24 @@ def conditional_kernel(
     return ConditionalKernel(given.alphabet, target.alphabet, rows)
 
 
+def _conditional_entropy(
+    counts: Mapping[Tuple[Label, Label], int],
+    given: Mapping[Label, int],
+    total: int,
+    log: Callable[[float], float],
+) -> float:
+    """H(target | given) from the joint counts n(g, t) and the conditioning
+    masses n(g), both over ``total``."""
+    rows: Dict[Label, List[int]] = {}
+    for (x, _), n in counts.items():
+        rows.setdefault(x, []).append(n)
+    acc = 0.0
+    for x, mass in given.items():
+        if mass:
+            acc += (mass / total) * _entropy(rows[x], mass, log)
+    return acc + 0.0
+
+
 def conditional_entropy(
     given: FiniteRandomVariable, target: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
@@ -125,15 +143,21 @@ def conditional_entropy(
     if given.space != target.space:
         raise DomainMismatch("conditional entropy requires a shared space")
     log = _log_for_base(base)
-    rows: Dict[Label, List[int]] = {}
-    for (x, _), n in joint_masses(given, target).items():
-        rows.setdefault(x, []).append(n)
-    denominator = given.space.denominator
-    acc = 0.0
-    for x, mass in given.masses.items():
-        if mass:
-            acc += (mass / denominator) * _entropy(rows[x], mass, log)
-    return acc + 0.0
+    return _conditional_entropy(
+        joint_masses(given, target), given.masses, given.space.denominator, log
+    )
+
+
+def _mutual_information(
+    x: Iterable[int],
+    y: Iterable[int],
+    xy: Iterable[int],
+    total: int,
+    log: Callable[[float], float],
+) -> float:
+    """H(x) + H(y) - H(x, y) from the integer masses of x, y and their
+    joint cells, all over ``total``."""
+    return (_entropy(x, total, log) + _entropy(y, total, log)) - _entropy(xy, total, log)
 
 
 def mutual_information(
@@ -146,9 +170,6 @@ def mutual_information(
     value symmetric in its arguments to the last bit as well.
     """
     log = _log_for_base(base)
-    counts = joint_masses(x, y)
-    denominator = x.space.denominator
-    return (
-        _entropy(x.masses.values(), denominator, log)
-        + _entropy(y.masses.values(), denominator, log)
-    ) - _entropy(counts.values(), denominator, log)
+    return _mutual_information(
+        x.masses.values(), y.masses.values(), joint_masses(x, y).values(), x.space.denominator, log
+    )

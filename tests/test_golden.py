@@ -6,6 +6,8 @@ fixed-seed pairs with alphabets of 2 to 256 labels, mixed weight
 denominators and zero-mass labels.  The CLI goldens store the exact bytes
 of ``frvkit audit --all`` at fixed seeds and of ``compute`` and
 ``triangle --emit-mediator`` on the documents in ``golden/documents.json``.
+``golden/wide_triangle.json`` holds one larger triangle document with the
+bytes of ``triangle --emit-mediator`` on it.
 
 Run ``PYTHONPATH=src python tests/test_golden.py --record`` to rewrite the
 files; do that only on a commit whose outputs are trusted, since these
@@ -114,6 +116,43 @@ def cli_runs(documents_path: Path):
     return runs
 
 
+def wide_triangle_document() -> dict:
+    """A family-a triangle (X, X*Z, Z) with 16 labels on X and on Z whose
+    middle variable hits 128 of the 256 cells.  Each x's support row in
+    n(x, y) holds about 8 of the 128 middle labels, about half of the cells
+    have n(x, z) = 0, zero weights leave some middle labels with zero
+    mass, and every outcome of ``x15`` weighs zero."""
+    rng = random.Random("golden/wide-triangle")
+    grid = [(f"x{i}", f"z{j}") for i in range(16) for j in range(16)]
+    cells = [(f"x{i}", f"z{i}") for i in range(16)]
+    cells += rng.sample([c for c in grid if c not in cells], 128 - 16)
+    hits = cells + [rng.choice(cells) for _ in range(32)]
+    rng.shuffle(hits)
+    outcomes = [f"w{k}" for k in range(len(hits))]
+    counts = [0 if x == "x15" else rng.randint(0, 3) for x, _ in hits]
+    total = sum(counts)
+    return {
+        "version": 1,
+        "space": {
+            "outcomes": outcomes,
+            "weights": {w: f"{n}/{total}" for w, n in zip(outcomes, counts)},
+        },
+        "variables": {
+            "X": {w: x for w, (x, _) in zip(outcomes, hits)},
+            "Y": {w: [x, z] for w, (x, z) in zip(outcomes, hits)},
+            "Z": {w: z for w, (_, z) in zip(outcomes, hits)},
+        },
+    }
+
+
+def wide_triangle_runs(document: dict):
+    """Every recorded command line on the wide triangle, as (name, argv)."""
+    return [
+        ("json", ["triangle", document, "--emit-mediator", "--format", "json"]),
+        ("text", ["triangle", document, "--emit-mediator"]),
+    ]
+
+
 def run_cli(argv, tmp_path: Path):
     """Exit code and stdout of ``frvkit ARGV``; document arguments are
     written to files under ``tmp_path`` first."""
@@ -154,6 +193,13 @@ def test_cli_output_byte_identical(name, argv, tmp_path):
     assert out == expected["stdout"]
 
 
+def test_wide_triangle_output_byte_identical(tmp_path):
+    golden = json.loads((GOLDEN / "wide_triangle.json").read_text())
+    for name, argv in wide_triangle_runs(golden["document"]):
+        code, out = run_cli(argv, tmp_path)
+        assert (code, out) == (golden[name]["code"], golden[name]["stdout"]), name
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     measures = {}
@@ -166,6 +212,12 @@ def record() -> None:
             code, out = run_cli(argv, Path(scratch))
             outputs[name] = {"code": code, "stdout": out}
     (GOLDEN / "cli.json").write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    wide = {"document": wide_triangle_document()}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, argv in wide_triangle_runs(wide["document"]):
+            code, out = run_cli(argv, Path(scratch))
+            wide[name] = {"code": code, "stdout": out}
+    (GOLDEN / "wide_triangle.json").write_text(json.dumps(wide, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,17 +9,20 @@ from hypothesis import strategies as st
 
 from frvkit import (
     AlphabetMismatch,
+    InvalidBase,
     MediatorFunction,
     Triple,
     bijection,
     canonical_pair,
     canonical_product,
     chain_rule_residual,
+    conditional_entropy,
     constant_variable,
     find_mediator,
     generate_markov_triangle,
     is_markov_triangle,
     mediator_candidates,
+    mutual_information,
     relabel,
     space,
     variable,
@@ -26,7 +30,13 @@ from frvkit import (
     weak_functoriality_residual,
 )
 from frvkit.constructions import push_forward
-from frvkit.generators import random_pair, random_space, random_triple, random_variable
+from frvkit.generators import (
+    random_function,
+    random_pair,
+    random_space,
+    random_triple,
+    random_variable,
+)
 from oracles import brute_force_has_mediator, oracle_mediator_candidates
 
 half = Fraction(1, 2)
@@ -181,6 +191,114 @@ def test_search_matches_dense_oracle_candidates_over_a_seed_sweep():
         without += mediator is None
         zero_mass += any(not m for v in (t.x, t.y, t.z) for m in v.pmf.values())
     assert with_mediator and without and zero_mass
+
+
+WIDE_SEEDS = range(96)
+
+
+def _split_row_triple(rng, k):
+    """A triple in which every label of x = "a"'s support row is a candidate
+    at the cell (c, a): a splits evenly over k middle labels, P(c|a) =
+    1/(2k) and P(c|y) = 1/2 on each of them.  Each such y also meets a label
+    "b<i>" of its own, and the labels "u<j>" of x = "e" (some of zero mass)
+    keep a's row short of the whole middle alphabet.  Middle labels are
+    drawn so that label order differs from the order of the outcomes."""
+    ys = [f"y{n}" for n in rng.sample(range(100), k)]
+    rows = []
+    for i, y in enumerate(ys):
+        rows += [("a", y, "c", 1), ("a", y, "d", 2 * k - 1), (f"b{i}", y, "c", 2 * k - 2)]
+    rows += [("e", f"u{j}", rng.choice("cd"), rng.randint(0, 3)) for j in range(rng.randint(1, k))]
+    rng.shuffle(rows)
+    total = sum(row[3] for row in rows)
+    sp = space({f"w{i}": Fraction(row[3], total) for i, row in enumerate(rows)})
+    x, y, z = (
+        variable(sp, {f"w{i}": row[part] for i, row in enumerate(rows)}) for part in range(3)
+    )
+    return Triple(x, y, z)
+
+
+def _wide_sweep_triple(seed):
+    """Seed ``seed`` of the wide sweep, with alphabets of 4 to 12 labels, so
+    that a label's support row is mostly shorter than the middle alphabet: a
+    family-a triangle (X, X*Z, Z), a family-d chain X -> phi(X) ->
+    psi(phi(X)), a random triple, or a split-row triple whose row at one
+    cell holds several candidates.  Random triples, and every other
+    generated one, sit on spaces that carry zero-weight outcomes."""
+    rng = random.Random(f"wide/{seed}")
+    kind = seed % 4
+    sizes = [rng.randint(4, 12) for _ in range(3)]
+    if kind == 3:
+        return _split_row_triple(rng, sizes[1])
+    allow_zero = kind == 2 or seed % 8 < 4
+    sp = random_space(rng, rng.randint(max(sizes), 3 * max(sizes)), 60, allow_zero=allow_zero)
+    x = random_variable(rng, sp, sizes[0], prefix="x")
+    if kind == 0:
+        z = random_variable(rng, sp, sizes[2], prefix="z")
+        return Triple(x, canonical_product(x, z), z)
+    if kind == 1:
+        mid = push_forward(x, random_function(rng, x.alphabet, sizes[1], prefix="p"))
+        last = push_forward(mid, random_function(rng, mid.alphabet, sizes[2], prefix="q"))
+        return Triple(x, mid, last)
+    y = random_variable(rng, sp, sizes[1], prefix="y")
+    return Triple(x, y, random_variable(rng, sp, sizes[2], prefix="z"))
+
+
+def _has_row_gap(t):
+    """Whether some x of positive mass co-occurs, on positive weight, with
+    fewer middle labels than the whole middle alphabet."""
+    sp = t.x.space
+    rows = {}
+    for w in sp.outcomes:
+        if sp.weights[w]:
+            rows.setdefault(t.x.assignment[w], set()).add(t.y.assignment[w])
+    return any(len(row) < len(t.y.alphabet) for row in rows.values())
+
+
+def test_search_matches_dense_oracle_candidates_on_wide_alphabets():
+    """The support-row walk against the dense oracle at sizes where rows
+    have gaps; the brute-force enumeration is out of reach here."""
+    with_mediator = without = gaps = zero_mass = split = 0
+    for seed in WIDE_SEEDS:
+        t = _wide_sweep_triple(seed)
+        dense = oracle_mediator_candidates(t)
+        assert mediator_candidates(t) == dense
+        split += len(dense.get(("c", "a"), ())) >= 4
+        mediator = find_mediator(t)
+        if all(dense.values()):
+            assert mediator is not None
+            assert mediator.table == {cell: ys[0] for cell, ys in dense.items()}
+        else:
+            assert mediator is None
+        with_mediator += mediator is not None
+        without += mediator is None
+        gaps += _has_row_gap(t)
+        zero_mass += any(not m for v in (t.x, t.y, t.z) for m in v.masses.values())
+    assert with_mediator >= 48 and without and zero_mass
+    assert gaps == len(WIDE_SEEDS) and split == len(WIDE_SEEDS) // 4
+
+
+@pytest.mark.parametrize("base", [2.0, math.e, 10.0])
+def test_residuals_match_public_measures_bit_for_bit(base):
+    def mi(a, b):
+        return mutual_information(a, b, base)
+
+    def ce(given, target):
+        return conditional_entropy(given, target, base)
+
+    for seed in WIDE_SEEDS:
+        t = _wide_sweep_triple(seed)
+        weak = mi(t.x, t.z) - mi(t.x, t.y) - mi(t.y, t.z) + mi(t.y, t.y)
+        chain = ce(t.x, t.z) - ce(t.y, t.z) - ce(t.x, t.y)
+        assert weak_functoriality_residual(t, base).hex() == weak.hex()
+        assert chain_rule_residual(t, base).hex() == chain.hex()
+
+
+def test_residuals_reject_base_one():
+    t = _wide_sweep_triple(0)
+    with pytest.raises(InvalidBase):
+        weak_functoriality_residual(t, 1.0)
+    with pytest.raises(InvalidBase):
+        chain_rule_residual(t, 1.0)
 
 
 def test_zero_mass_conditioning_label_accepts_every_candidate():
