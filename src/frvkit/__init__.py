@@ -24,6 +24,7 @@ from .core import (
     product_space,
     projection_map,
     pull_back,
+    refinement_map,
     space,
     variable,
 )

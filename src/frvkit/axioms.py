@@ -33,7 +33,6 @@ from .constructions import PmfSequence, convex_sum_pairs
 from .core import (
     FiniteRandomVariable,
     MeasurePreservingMap,
-    SampleSpace,
     canonical_pair,
     canonical_product,
     canonical_variable,
@@ -42,6 +41,8 @@ from .core import (
     joint_table,
     projection_map,
     pull_back,
+    refinement_map,
+    space,
 )
 from .documents import instance_document, pmf_document, space_document
 from .errors import DegenerateFit
@@ -181,11 +182,11 @@ class SequenceInstance:
         return canonical_pair(self.sequence.term(n))
 
     def as_document(self) -> dict:
-        return {
-            "version": 1,
-            "description": self.description,
-            "limit": pmf_document(self.limit),
-        }
+        """The limit pair as a parsable instance document, X and Y, plus the
+        sequence's description."""
+        doc = PairInstance(*self.limit_pair()).as_document()
+        doc["description"] = self.description
+        return doc
 
 
 def triangle_document(t: Triple) -> dict:
@@ -319,11 +320,11 @@ def check_continuity(
     functional: CandidateFunctional,
     instances: Sequence[SequenceInstance],
     tolerance: float,
-    probes: Tuple[int, ...] = CONTINUITY_PROBES,
 ) -> AxiomReport:
     """Axiom 1: F along each sequence must approach F at the limit.
 
-    Per instance the residual is the gap at the largest probe index, plus
+    Per instance the residual is the gap at the largest index of
+    ``CONTINUITY_PROBES``, plus
     any growth between consecutive probes (a shrinking tail cannot hide a
     diverging one).
     """
@@ -331,7 +332,7 @@ def check_continuity(
 
     def residual(inst: SequenceInstance) -> float:
         limit_value = f(*inst.limit_pair())
-        gaps = [abs(f(*inst.term_pair(n)) - limit_value) for n in probes]
+        gaps = [abs(f(*inst.term_pair(n)) - limit_value) for n in CONTINUITY_PROBES]
         growth = max(
             [0.0] + [gaps[i + 1] - gaps[i] for i in range(len(gaps) - 1)]
         )
@@ -451,29 +452,21 @@ def characterization_probe(
 
 
 def _three_point_pair() -> PairInstance:
-    sp = SampleSpace(
-        ("w1", "w2", "w3"),
-        {"w1": Fraction(1, 6), "w2": Fraction(1, 3), "w3": Fraction(1, 2)},
-    )
+    sp = space({"w1": Fraction(1, 6), "w2": Fraction(1, 3), "w3": Fraction(1, 2)})
     x = FiniteRandomVariable(sp, {"w1": "a", "w2": "a", "w3": "b"})
     y = FiniteRandomVariable(sp, {"w1": "u", "w2": "v", "w3": "v"})
     return PairInstance(x, y)
 
 
 def _independent_coins() -> PairInstance:
-    quarter = Fraction(1, 4)
-    sp = SampleSpace(
-        ("o1", "o2", "o3", "o4"),
-        {"o1": quarter, "o2": quarter, "o3": quarter, "o4": quarter},
-    )
+    sp = space(dict.fromkeys(("o1", "o2", "o3", "o4"), Fraction(1, 4)))
     x = FiniteRandomVariable(sp, {"o1": "h", "o2": "h", "o3": "t", "o4": "t"})
     y = FiniteRandomVariable(sp, {"o1": "h", "o2": "t", "o3": "h", "o4": "t"})
     return PairInstance(x, y)
 
 
 def _duplicated_coin() -> PairInstance:
-    half = Fraction(1, 2)
-    sp = SampleSpace(("w1", "w2"), {"w1": half, "w2": half})
+    sp = space(dict.fromkeys(("w1", "w2"), Fraction(1, 2)))
     x = FiniteRandomVariable(sp, {"w1": "h", "w2": "t"})
     return PairInstance(x, x)
 
@@ -493,9 +486,8 @@ def _correlated_table_pair() -> PairInstance:
 def _hand_mixture() -> MixtureInstance:
     """Equal mixture of a duplicated coin pair and a constant pair."""
     half = Fraction(1, 2)
-    sp = SampleSpace(("w1", "w2"), {"w1": half, "w2": half})
-    coin = FiniteRandomVariable(sp, {"w1": "h", "w2": "t"})
-    const = constant_variable(sp, "k")
+    coin = _duplicated_coin().x
+    const = constant_variable(coin.space, "k")
     return MixtureInstance(
         weights={"m1": half, "m2": half},
         pairs={"m1": (coin, coin), "m2": (const, const)},
@@ -529,20 +521,11 @@ def _canonical_pullbacks() -> List[PullbackInstance]:
     """One projection and one outcome-halving refinement over the recurring
     three-point pair; either one separates space-dependent pretenders."""
     base = _three_point_pair()
-    aux = SampleSpace(("v1", "v2"), {"v1": Fraction(1, 4), "v2": Fraction(3, 4)})
+    aux = space({"v1": Fraction(1, 4), "v2": Fraction(3, 4)})
     projection = projection_map(base.x.space, aux, "left")
 
-    src_outcomes = []
-    weights: Dict[Label, Fraction] = {}
-    mapping: Dict[Label, Label] = {}
-    for outcome in base.x.space.outcomes:
-        for part in ("s1", "s2"):
-            sub = (outcome, part)
-            src_outcomes.append(sub)
-            weights[sub] = base.x.space.weights[outcome] / 2
-            mapping[sub] = outcome
-    refinement = MeasurePreservingMap(
-        SampleSpace(tuple(src_outcomes), weights), base.x.space, mapping
+    refinement = refinement_map(
+        base.x.space, {w: (Fraction(1, 2), Fraction(1, 2)) for w in base.x.space.outcomes}
     )
     return [
         PullbackInstance(base.x, base.y, projection),
@@ -716,16 +699,16 @@ class AuditResult:
 
 def audit(
     functional: CandidateFunctional,
-    seed: int = DEFAULT_SEED,
-    instances: int = DEFAULT_INSTANCES,
+    *,
+    corpus: Optional[AuditCorpus] = None,
     tolerance: float = IDENTITY_TOLERANCE,
     probe_tolerance: float = PROBE_TOLERANCE,
-    corpus: Optional[AuditCorpus] = None,
 ) -> AuditResult:
-    """Run all six checks; run the characterization probe only if they all
-    pass (a failed axiom already refutes the scale-fit hypothesis)."""
+    """Run all six checks on ``corpus``, by default ``build_audit_corpus()``;
+    run the characterization probe only if they all pass (a failed axiom
+    already refutes the scale-fit hypothesis)."""
     if corpus is None:
-        corpus = build_audit_corpus(seed, instances)
+        corpus = build_audit_corpus()
     reports = (
         check_continuity(functional, corpus.sequences, tolerance),
         check_strong_additivity(functional, corpus.mixtures, tolerance),

@@ -27,14 +27,15 @@ from .axioms import (
     IDENTITY_TOLERANCE,
     MIN_INSTANCES,
     PROBE_TOLERANCE,
+    PairInstance,
     audit,
     build_audit_corpus,
     builtin_functionals,
     get_functional,
+    triangle_document,
 )
 from .core import FiniteRandomVariable
 from .documents import (
-    instance_document,
     load_document,
     parse_instance_document,
     pmf_document,
@@ -44,6 +45,7 @@ from .errors import DocumentError, FrvError
 from .generators import random_pair
 from .labels import encode_label, label_key, label_text
 from .markov import (
+    FAMILIES,
     Triple,
     chain_rule_residual,
     find_mediator,
@@ -201,6 +203,9 @@ def cmd_audit(args) -> int:
         raise DocumentError(
             "--instances", f"must be at least {MIN_INSTANCES}, got {args.instances}"
         )
+    for option, tolerance in (("--tol", args.tol), ("--probe-tol", args.probe_tol)):
+        if not 0.0 <= tolerance < math.inf:
+            raise DocumentError(option, f"must be a finite number >= 0, got {tolerance!r}")
     corpus = build_audit_corpus(args.seed, args.instances)
     results = [
         audit(functional, tolerance=args.tol, probe_tolerance=args.probe_tol, corpus=corpus)
@@ -217,20 +222,21 @@ def cmd_audit(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 0:
+        raise DocumentError("--count", f"must be at least 0, got {args.count}")
     rng = random.Random(args.seed)
     documents = []
     for index in range(args.count):
         if args.kind == "pair":
-            x, y = random_pair(rng)
-            documents.append(instance_document(x.space, {"X": x, "Y": y}))
+            documents.append(PairInstance(*random_pair(rng)).as_document())
         else:
             family = args.family
             if family is None and not args.rejection:
-                family = "abcd"[index % 4]
+                family = FAMILIES[index % len(FAMILIES)]
             t = generate_markov_triangle(
                 rng.randrange(2**32), family=family, rejection=args.rejection
             )
-            documents.append(instance_document(t.x.space, {"X": t.x, "Y": t.y, "Z": t.z}))
+            documents.append(triangle_document(t))
     payload = {"version": 1, "kind": args.kind, "seed": args.seed, "documents": documents}
     _write_output(serialize_document(payload), args.out)
     return 0
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--count", type=int, default=10)
     generate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     recipe = generate.add_mutually_exclusive_group()
-    recipe.add_argument("--family", choices=("a", "b", "c", "d"),
+    recipe.add_argument("--family", choices=FAMILIES,
                         help="fix the triangle construction family")
     recipe.add_argument("--rejection", action="store_true",
                         help="draw unconstrained triples until one is a triangle")

@@ -1,8 +1,9 @@
 """Convex structure on variables and pairs, push-forwards and relabelings,
 and weak-convergence probing.
 
-A weighted convex sum of variables lives on the mixture space (tag, omega)
-and takes values in a tagged disjoint union of the component alphabets.  The
+A weighted convex sum of variables lives on the mixture space (tag, omega),
+the product of the weighted tag set with the components' common space, and
+takes values in a tagged disjoint union of the component alphabets.  The
 tag is applied distributively: tagging an atomic label ``y`` with ``x`` gives
 the pair ``(x, y)``, while tagging a tuple label tags each part.  With this
 realization the convex sum of pairwise products and the product of convex
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .core import FiniteRandomVariable, SampleSpace, canonical_pair, _check_weights
+from .core import FiniteRandomVariable, SampleSpace, _check_weights, canonical_pair, product_space
 from .errors import AlphabetMismatch, DomainMismatch
 from .labels import Label, label_text, sort_labels
 from .measures import DEFAULT_BASE, entropy, mutual_information
@@ -81,17 +82,10 @@ def tag_label(tag: Label, label: Label) -> Label:
 def mixture_space(
     weights: Mapping[Label, Fraction], base_space: SampleSpace
 ) -> SampleSpace:
-    """The space (tag, omega) with weight(tag, omega) = w(tag) * mu(omega)."""
-    _check_weights(dict(weights), "mixture weight")
-    outcomes = tuple(
-        (tag, omega)
-        for tag in sort_labels(weights)
-        for omega in base_space.outcomes
-    )
-    return SampleSpace(
-        outcomes,
-        {(tag, omega): weights[tag] * base_space.weights[omega] for tag, omega in outcomes},
-    )
+    """The space (tag, omega) with weight(tag, omega) = w(tag) * mu(omega):
+    the product of the weighted tag set, in label order, with the base
+    space.  The tag set is a space of its own, so it checks the weights."""
+    return product_space(SampleSpace(tuple(sort_labels(weights)), dict(weights)), base_space)
 
 
 def _common_space(variables) -> SampleSpace:
@@ -120,9 +114,15 @@ def convex_sum(
         raise AlphabetMismatch("mixture weights and family are indexed by different sets")
     if not family:
         raise AlphabetMismatch("empty mixture")
-    base_space = _common_space(family.values())
-    mixed = mixture_space(weights, base_space)
+    return _tagged(mixture_space(weights, _common_space(family.values())), family)
 
+
+def _tagged(
+    mixed: SampleSpace, family: Mapping[Label, FiniteRandomVariable]
+) -> FiniteRandomVariable:
+    """The variable (tag, omega) -> tagged value of the tag-th component at
+    omega on the mixture space ``mixed``, once no two components' tagged
+    labels collide."""
     seen: Dict[Label, Label] = {}
     for tag in sort_labels(family):
         for lab in family[tag].alphabet:
@@ -148,12 +148,13 @@ def convex_sum_pairs(
     """Componentwise convex sum of an indexed family of pairs.
 
     Both components of every pair must live on the same common space; the
-    two results then live on the same mixture space.
+    two results then share one mixture space object, built once.
     """
     firsts = {tag: pair[0] for tag, pair in family.items()}
     seconds = {tag: pair[1] for tag, pair in family.items()}
-    _common_space(list(firsts.values()) + list(seconds.values()))
-    return convex_sum(weights, firsts), convex_sum(weights, seconds)
+    first = convex_sum(weights, firsts)
+    _common_space([*firsts.values(), *seconds.values()])
+    return first, _tagged(first.space, seconds)
 
 
 def mixture_distribution(
@@ -244,13 +245,10 @@ def check_weak_convergence(
     base: float = DEFAULT_BASE,
 ) -> ConvergenceReport:
     """Probe a sequence against its claimed limit at n_probe, 2 n_probe and
-    4 n_probe."""
-    if n_probe < sequence.stabilization_index:
-        raise ValueError("probe index below the sequence's stabilization index")
+    4 n_probe.  ``entropy`` checks the limit, and ``sequence.term`` each index."""
     limit = dict(limit)
     if set(limit) != set(sequence.limit_alphabet):
         raise AlphabetMismatch("limit distribution alphabet differs from the sequence's")
-    _check_weights(limit, "limit probability")
 
     pairs = _is_pair_alphabet(sequence.limit_alphabet)
     limit_entropy = entropy(limit, base)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import AlphabetMismatch, DomainMismatch, NotAPmf
 from .labels import Label, Outcome, label_text, sort_labels
@@ -288,6 +288,26 @@ def projection_map(a: SampleSpace, b: SampleSpace, which: str = "left") -> Measu
     index = 0 if which == "left" else 1
     target = a if which == "left" else b
     return MeasurePreservingMap(prod, target, {w: w[index] for w in prod.outcomes})
+
+
+def refinement_map(
+    sp: SampleSpace, shares: Mapping[Outcome, Sequence[Fraction]]
+) -> MeasurePreservingMap:
+    """The collapse onto ``sp`` of its refinement into sub-outcomes
+    ``(w, "s1")``, ``(w, "s2")``, ... of weight ``weight(w) * share``, one
+    per share in ``shares[w]``.  Shares that miss 1 in total raise
+    :class:`NotAPmf`; shares that miss 1 at some outcome only raise
+    :class:`DomainMismatch`, since the collapse is then not measure-preserving."""
+    if set(shares) != set(sp.outcomes):
+        raise DomainMismatch("refinement shares do not cover exactly the outcome set")
+    weights: Dict[Outcome, Fraction] = {}
+    mapping: Dict[Outcome, Outcome] = {}
+    for outcome in sp.outcomes:
+        for i, share in enumerate(shares[outcome]):
+            sub = (outcome, f"s{i + 1}")
+            weights[sub] = sp.weights[outcome] * share
+            mapping[sub] = outcome
+    return MeasurePreservingMap(SampleSpace(tuple(weights), weights), sp, mapping)
 
 
 def canonical_variable(distribution: Mapping[Label, Fraction]) -> FiniteRandomVariable:

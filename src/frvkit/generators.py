@@ -18,6 +18,7 @@ from .core import (
     SampleSpace,
     constant_variable,
     projection_map,
+    refinement_map,
 )
 from .constructions import Relabeling
 from .labels import Label
@@ -134,20 +135,11 @@ def random_function(
 
 def random_refinement(rng: random.Random, space: SampleSpace) -> MeasurePreservingMap:
     """Split each outcome into up to three sub-outcomes carrying exact shares
-    of its weight; the collapse map is measure-preserving by construction."""
-    src_outcomes: List[Label] = []
-    src_weights: Dict[Label, Fraction] = {}
-    mapping: Dict[Label, Label] = {}
-    for outcome in space.outcomes:
-        parts = rng.randint(1, 3)
-        shares = rational_weights(rng, parts, max_denominator=6)
-        for i, share in enumerate(shares):
-            sub = (outcome, f"s{i + 1}")
-            src_outcomes.append(sub)
-            src_weights[sub] = space.weights[outcome] * share
-            mapping[sub] = outcome
-    source = SampleSpace(tuple(src_outcomes), src_weights)
-    return MeasurePreservingMap(source, space, mapping)
+    of its weight (see :func:`refinement_map`)."""
+    return refinement_map(
+        space,
+        {w: rational_weights(rng, rng.randint(1, 3), max_denominator=6) for w in space.outcomes},
+    )
 
 
 def random_pullback(

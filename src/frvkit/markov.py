@@ -183,7 +183,6 @@ def generate_markov_triangle(
     seed: int,
     max_alphabet: int = 4,
     max_outcomes: int = 8,
-    max_denominator: int = 24,
     family: Optional[str] = None,
     rejection: bool = False,
 ) -> Triple:
@@ -203,7 +202,8 @@ def generate_markov_triangle(
     until one happens to admit a mediator; that mode is slower and biased
     toward small alphabets, and is intended only for exploring the landscape
     of accidental triangles, and a ``family`` with it is a ``ValueError``.
-    Every result is re-validated by :func:`find_mediator` before return.
+    Weights use the generators' ``MAX_DENOMINATOR``.  Every result is
+    re-validated by :func:`find_mediator` before return.
     """
     if rejection and family is not None:
         raise ValueError("family and rejection are mutually exclusive")
@@ -211,7 +211,7 @@ def generate_markov_triangle(
     if rejection:
         for _ in range(10_000):
             sizes = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
-            t = Triple(*random_triple(rng, sizes, max_outcomes, max_denominator))
+            t = Triple(*random_triple(rng, sizes, max_outcomes))
             if find_mediator(t) is not None:
                 return t
         raise RuntimeError("rejection sampling did not find a Markov triangle")
@@ -219,7 +219,7 @@ def generate_markov_triangle(
     kind = family if family is not None else rng.choice(FAMILIES)
     if kind not in FAMILIES:
         raise ValueError(f"unknown triangle family {kind!r}")
-    x, y = random_pair(rng, max_alphabet, max_outcomes, max_denominator)
+    x, y = random_pair(rng, max_alphabet, max_outcomes)
     if kind == "a":
         t = Triple(x, canonical_product(x, y), y)
     elif kind == "b":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from .core import ZERO, FiniteRandomVariable, _check_weights, joint_masses
-from .errors import DomainMismatch, InvalidBase, NotAPmf
+from .errors import InvalidBase, NotAPmf
 from .labels import Label
 
 DEFAULT_BASE = 2.0
@@ -140,8 +140,6 @@ def conditional_entropy(
 ) -> float:
     """H(target | given): mass-weighted entropy of the kernel rows, summed
     over the conditioning labels in label order."""
-    if given.space != target.space:
-        raise DomainMismatch("conditional entropy requires a shared space")
     log = _log_for_base(base)
     return _conditional_entropy(
         joint_masses(given, target), given.masses, given.space.denominator, log

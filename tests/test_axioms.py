@@ -154,9 +154,27 @@ def test_step_functional_fails_continuity(small_corpus):
     assert 1 in result.failed_axioms
 
 
+def test_continuity_counterexample_is_the_parsable_limit_pair(small_corpus):
+    from frvkit.documents import parse_instance_document
+
+    step = CandidateFunctional(
+        "positive_information_indicator",
+        lambda x, y: 1.0 if mutual_information(x, y) > 0 else 0.0,
+    )
+    counterexample = audit(step, corpus=small_corpus).reports[0].counterexample
+    assert counterexample is not None
+    _, variables = parse_instance_document(counterexample)
+    assert set(variables) == {"X", "Y"}
+    witness = next(
+        inst for inst in small_corpus.sequences
+        if inst.description == counterexample["description"]
+    )
+    assert joint_table(variables["X"], variables["Y"]).as_pmf() == witness.limit
+
+
 def test_audit_reports_are_deterministic():
-    first = audit(get_functional("conditional_entropy"), **SMALL)
-    second = audit(get_functional("conditional_entropy"), **SMALL)
+    first = audit(get_functional("conditional_entropy"), corpus=build_audit_corpus(**SMALL))
+    second = audit(get_functional("conditional_entropy"), corpus=build_audit_corpus(**SMALL))
     assert json.dumps(first.as_document(), sort_keys=True) == json.dumps(
         second.as_document(), sort_keys=True
     )

@@ -345,3 +345,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, "audit", "--functional", "mutual_information", "--instances", "3")
     assert code == 2 and "--instances" in err
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+        ("--probe-tol", "nan"), ("--probe-tol", "inf"),
+    ],
+)
+def test_audit_rejects_bad_tolerances(capsys, option, value):
+    code, out, err = run(
+        capsys, "audit", "--functional", "squared_mutual_information", f"{option}={value}"
+    )
+    assert code == 2 and out == ""
+    assert option in err
+
+
+def test_generate_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, "generate", "--count", "-3")
+    assert code == 2 and out == ""
+    assert "--count" in err

@@ -50,6 +50,16 @@ def test_convex_sum_requires_pmf_weights(coin):
         convex_sum({"m": half}, {"m": coin})
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [{"0": 1, "1": 0}, {"0": Fraction(3, 2), "1": -half}, {"0": half, "1": quarter}],
+    ids=["int", "negative", "non-summing"],
+)
+def test_convex_sum_rejects_invalid_mixture_weights(coin, weights):
+    with pytest.raises(NotAPmf):
+        convex_sum(weights, {"0": coin, "1": coin})
+
+
 def test_convex_sum_requires_common_space(coin):
     other = space({"w1": half, "w2": half})
     y = variable(other, {"w1": "u", "w2": "u"})
@@ -103,6 +113,31 @@ def test_convex_sum_pairs_single_pair(coin):
     first, second = convex_sum_pairs({"m": Fraction(1)}, {"m": (coin, coin)})
     assert first.assignment == second.assignment
     assert mutual_information(first, second) == 1.0
+
+
+def test_convex_sum_pairs_halves_share_one_mixture_space(coin_space, coin):
+    const = constant_variable(coin_space, "k")
+    first, second = convex_sum_pairs(
+        {"0": half, "1": half}, {"0": (coin, const), "1": (const, coin)}
+    )
+    assert first.space is second.space
+
+
+def test_tagged_label_collision_is_rejected(coin_space, coin):
+    # Tagging distributes over tuples, so the empty tuple is () under every tag.
+    empty = constant_variable(coin_space, ())
+    weights = {"0": half, "1": half}
+    with pytest.raises(AlphabetMismatch, match="collision"):
+        convex_sum(weights, {"0": empty, "1": empty})
+    with pytest.raises(AlphabetMismatch, match="collision"):
+        convex_sum_pairs(weights, {"0": (empty, coin), "1": (empty, coin)})
+    with pytest.raises(AlphabetMismatch, match="collision"):
+        convex_sum_pairs(weights, {"0": (coin, empty), "1": (coin, empty)})
+
+
+def test_convex_sum_pairs_rejects_an_empty_family():
+    with pytest.raises(AlphabetMismatch):
+        convex_sum_pairs({}, {})
 
 
 def test_convex_sum_pairs_hand_value(coin_space, coin):

@@ -18,11 +18,14 @@ from frvkit import (
     product_space,
     projection_map,
     pull_back,
+    refinement_map,
     space,
     variable,
 )
 from frvkit.core import MeasurePreservingMap
 from frvkit.generators import random_pair, random_pullback, random_refinement
+
+half = Fraction(1, 2)
 
 
 def test_pmf_fair_coin_identity(coin):
@@ -161,6 +164,39 @@ def test_pull_back_along_refinement_preserves_pmf(rng, three_point):
     _, x, _ = three_point
     proj = random_refinement(rng, x.space)
     assert pull_back(x, proj).pmf == x.pmf
+
+
+def test_refinement_map_splits_weights_by_share(three_point):
+    sp, x, _ = three_point
+    third = Fraction(1, 3)
+    proj = refinement_map(sp, {"w1": (Fraction(1),), "w2": (third, 2 * third), "w3": (half, half)})
+    assert proj.target is sp
+    assert proj.source.outcomes == (
+        ("w1", "s1"), ("w2", "s1"), ("w2", "s2"), ("w3", "s1"), ("w3", "s2"),
+    )
+    assert proj.source.weights == {
+        ("w1", "s1"): Fraction(1, 6),
+        ("w2", "s1"): Fraction(1, 9),
+        ("w2", "s2"): Fraction(2, 9),
+        ("w3", "s1"): Fraction(1, 4),
+        ("w3", "s2"): Fraction(1, 4),
+    }
+    assert proj.mapping == {sub: sub[0] for sub in proj.source.outcomes}
+    assert pull_back(x, proj).pmf == x.pmf
+
+
+def test_refinement_map_rejects_shares_that_miss_one(three_point):
+    sp, _, _ = three_point
+    # Every outcome's shares sum to 1/2, so the sub-outcomes weigh 1/2 in all.
+    with pytest.raises(NotAPmf):
+        refinement_map(sp, {w: (half / 2, half / 2) for w in sp.outcomes})
+    # w1 keeps half of its 1/6 and w3 takes 7/6 of its 1/2: the sub-outcomes
+    # still weigh 1/12 + 1/3 + 7/12 = 1, but two preimages carry the wrong weight.
+    off = {"w1": (half,), "w2": (Fraction(1),), "w3": (Fraction(7, 6),)}
+    with pytest.raises(DomainMismatch):
+        refinement_map(sp, off)
+    with pytest.raises(DomainMismatch):
+        refinement_map(sp, {"w1": (Fraction(1),), "w2": (Fraction(1),)})
 
 
 def test_pull_back_rejects_wrong_target(coin, three_point):

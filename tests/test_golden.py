@@ -7,7 +7,13 @@ denominators and zero-mass labels.  The CLI goldens store the exact bytes
 of ``frvkit audit --all`` at fixed seeds and of ``compute`` and
 ``triangle --emit-mediator`` on the documents in ``golden/documents.json``.
 ``golden/wide_triangle.json`` holds one larger triangle document with the
-bytes of ``triangle --emit-mediator`` on it.
+bytes of ``triangle --emit-mediator`` on it.  ``golden/generate.json`` holds
+the bytes of ``generate`` for pairs, triangles, one fixed family and
+rejection sampling.  ``golden/corpus.json`` holds one sha256 per (seed,
+instance count) over every document of ``build_audit_corpus``: each pair,
+vacuity, mixture, pullback and triangle instance, each mixed pair and
+pulled pair, and each sequence's description, limit and terms at three
+indices.
 
 Run ``PYTHONPATH=src python tests/test_golden.py --record`` to rewrite the
 files; do that only on a commit whose outputs are trusted, since these
@@ -15,6 +21,7 @@ tests exist to catch any change in them.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -27,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from frvkit import (
+    build_audit_corpus,
     canonical_product,
     conditional_entropy,
     entropy,
@@ -35,7 +43,9 @@ from frvkit import (
     space,
     variable,
 )
+from frvkit.axioms import triangle_document
 from frvkit.cli import main
+from frvkit.documents import instance_document, pmf_document, serialize_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,6 +59,15 @@ SHAPES = (
     (200, 256, 2048),
 )
 AUDIT_SEEDS = (4, 17)
+GENERATE_RUNS = (
+    ("pair_seed5", ["generate", "--kind", "pair", "--count", "6", "--seed", "5"]),
+    ("triangle_seed5", ["generate", "--kind", "triangle", "--count", "8", "--seed", "5"]),
+    ("family_d_seed9", ["generate", "--kind", "triangle", "--family", "d", "--count", "4", "--seed", "9"]),
+    ("rejection_seed3", ["generate", "--kind", "triangle", "--rejection", "--count", "4", "--seed", "3"]),
+)
+CORPUS_SEEDS = range(40)
+CORPUS_SIZES = (4, 7, 16, 64)
+SEQUENCE_TERMS = (1, 3, 1000)
 
 
 def sweep_pair(index: int, size_x: int, size_y: int, n: int):
@@ -153,6 +172,41 @@ def wide_triangle_runs(document: dict):
     ]
 
 
+def corpus_documents(seed: int, instances: int):
+    """Every document of ``build_audit_corpus(seed, instances)``, in corpus
+    order: the instances, then the derived mixed and pulled pairs, then the
+    sequences (description, limit and terms, independent of how a sequence
+    instance renders itself)."""
+    corpus = build_audit_corpus(seed, instances)
+    for inst in corpus.pairs + corpus.vacuity + corpus.mixtures + corpus.pullbacks:
+        yield inst.as_document()
+    for t in corpus.triangles:
+        yield triangle_document(t)
+    for inst in corpus.mixtures:
+        first, second = inst.mixed_pair()
+        yield instance_document(first.space, {"X": first, "Y": second})
+    for inst in corpus.pullbacks:
+        x, y = inst.pulled()
+        yield instance_document(x.space, {"X": x, "Y": y})
+    for inst in corpus.sequences:
+        yield {
+            "description": inst.description,
+            "limit": pmf_document(inst.limit),
+            "terms": [pmf_document(inst.sequence.term(n)) for n in SEQUENCE_TERMS],
+        }
+
+
+def corpus_digests(instances: int) -> dict:
+    """``{"seed/instances": sha256}`` over the serialized corpus documents."""
+    digests = {}
+    for seed in CORPUS_SEEDS:
+        digest = hashlib.sha256()
+        for doc in corpus_documents(seed, instances):
+            digest.update(serialize_document(doc).encode())
+        digests[f"{seed}/{instances}"] = digest.hexdigest()
+    return digests
+
+
 def run_cli(argv, tmp_path: Path):
     """Exit code and stdout of ``frvkit ARGV``; document arguments are
     written to files under ``tmp_path`` first."""
@@ -200,6 +254,19 @@ def test_wide_triangle_output_byte_identical(tmp_path):
         assert (code, out) == (golden[name]["code"], golden[name]["stdout"]), name
 
 
+@pytest.mark.parametrize("name,argv", GENERATE_RUNS, ids=[name for name, _ in GENERATE_RUNS])
+def test_generate_output_byte_identical(name, argv, tmp_path):
+    expected = json.loads((GOLDEN / "generate.json").read_text())[name]
+    assert run_cli(argv, tmp_path) == (expected["code"], expected["stdout"])
+
+
+@pytest.mark.parametrize("instances", CORPUS_SIZES)
+def test_corpus_documents_identical(instances):
+    golden = json.loads((GOLDEN / "corpus.json").read_text())
+    expected = {key: value for key, value in golden.items() if key.endswith(f"/{instances}")}
+    assert corpus_digests(instances) == expected
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     measures = {}
@@ -218,6 +285,16 @@ def record() -> None:
             code, out = run_cli(argv, Path(scratch))
             wide[name] = {"code": code, "stdout": out}
     (GOLDEN / "wide_triangle.json").write_text(json.dumps(wide, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        generated = {}
+        for name, argv in GENERATE_RUNS:
+            code, out = run_cli(argv, Path(scratch))
+            generated[name] = {"code": code, "stdout": out}
+    (GOLDEN / "generate.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
+    digests = {}
+    for instances in CORPUS_SIZES:
+        digests.update(corpus_digests(instances))
+    (GOLDEN / "corpus.json").write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
