@@ -10,11 +10,18 @@ Commands::
 ``FILE`` may be ``-`` for stdin.  Exit codes: 0 success (for audit: every
 check passed), 1 audit failure, 2 input or validation error.  Any other
 exception is a bug and surfaces with its traceback.
+
+:func:`main` is reentrant: it parses with one parser per process and keeps
+nothing else between calls.  Each call reads its documents afresh and looks
+its command up by name when it runs, so rebinding a ``cmd_*`` function
+takes effect on the next call.  :func:`build_parser` returns a new parser
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -25,7 +32,6 @@ from .axioms import (
     DEFAULT_INSTANCES,
     DEFAULT_SEED,
     IDENTITY_TOLERANCE,
-    MIN_INSTANCES,
     PROBE_TOLERANCE,
     PairInstance,
     audit,
@@ -199,14 +205,13 @@ def cmd_audit(args) -> int:
         functionals = [get_functional(name) for name in names]
     except LookupError as exc:
         raise DocumentError("--functional", str(exc)) from None
-    if args.instances < MIN_INSTANCES:
-        raise DocumentError(
-            "--instances", f"must be at least {MIN_INSTANCES}, got {args.instances}"
-        )
     for option, tolerance in (("--tol", args.tol), ("--probe-tol", args.probe_tol)):
         if not 0.0 <= tolerance < math.inf:
             raise DocumentError(option, f"must be a finite number >= 0, got {tolerance!r}")
-    corpus = build_audit_corpus(args.seed, args.instances)
+    try:
+        corpus = build_audit_corpus(args.seed, args.instances)
+    except ValueError as exc:
+        raise DocumentError("--instances", str(exc)) from None
     results = [
         audit(functional, tolerance=args.tol, probe_tolerance=args.probe_tol, corpus=corpus)
         for functional in functionals
@@ -257,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--base", choices=sorted(BASES), default="2", help="log base")
     compute.add_argument("--format", choices=("text", "json"), default="text")
     compute.add_argument("--out", help="write output to a file instead of stdout")
-    compute.set_defaults(handler=cmd_compute)
 
     triangle = sub.add_parser("triangle", help="mediator search and residuals for a triple")
     triangle.add_argument("file", help="instance document path, or - for stdin")
@@ -265,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     triangle.add_argument("--emit-mediator", action="store_true")
     triangle.add_argument("--format", choices=("text", "json"), default="text")
     triangle.add_argument("--out", help="write output to a file instead of stdout")
-    triangle.set_defaults(handler=cmd_triangle)
 
     audit_cmd = sub.add_parser("audit", help="audit a functional against the six axioms")
     group = audit_cmd.add_mutually_exclusive_group(required=True)
@@ -276,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd.add_argument("--tol", type=float, default=IDENTITY_TOLERANCE)
     audit_cmd.add_argument("--probe-tol", type=float, default=PROBE_TOLERANCE)
     audit_cmd.add_argument("--out", help="write the JSON report to a file")
-    audit_cmd.set_defaults(handler=cmd_audit)
 
     generate = sub.add_parser("generate", help="emit a seeded corpus of instance documents")
     generate.add_argument("--kind", choices=("pair", "triangle"), default="pair")
@@ -288,15 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
     recipe.add_argument("--rejection", action="store_true",
                         help="draw unconstrained triples until one is a triangle")
     generate.add_argument("--out", help="write output to a file instead of stdout")
-    generate.set_defaults(handler=cmd_generate)
     return parser
 
 
+# The parser holds no ``cmd_*`` function, so rebinding one reaches ``main``.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = {
+        "compute": cmd_compute,
+        "triangle": cmd_triangle,
+        "audit": cmd_audit,
+        "generate": cmd_generate,
+    }[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except (FrvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,6 +163,7 @@ def mixture_distribution(
 ) -> Dict[Label, Fraction]:
     """Distribution-level convex sum: the grouping of ``parts`` under
     ``weights`` on the tagged disjoint union of their supports."""
+    _check_weights(weights, "mixture weight")
     if set(weights) != set(parts):
         raise AlphabetMismatch("mixture weights and parts are indexed by different sets")
     out: Dict[Label, Fraction] = {}
@@ -174,7 +175,6 @@ def mixture_distribution(
             if tagged in out:
                 raise AlphabetMismatch(f"tagged label collision at {label_text(tagged)}")
             out[tagged] = weights[tag] * mass
-    _check_weights(out, "mixture probability")
     return out
 
 

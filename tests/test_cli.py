@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from frvkit.cli import main
+from frvkit import cli
+from frvkit.cli import build_parser, main
 from frvkit.documents import (
     load_document,
     parse_instance_document,
@@ -313,6 +314,27 @@ def test_round_trip_is_byte_identical(tmp_path):
 
     again = serialize_document(instance_document(sp, variables))
     assert again == canonical
+
+
+def test_commands_dispatch_at_call_time(tmp_path, capsys, monkeypatch):
+    """``main`` looks a command's function up when it runs, so rebinding
+    ``cli.cmd_compute`` after a first call reaches the second call."""
+    path = write_doc(tmp_path, THREE_POINT)
+    first = run(capsys, "compute", path)
+    calls = []
+    original = cli.cmd_compute
+
+    def counted(args):
+        calls.append(args.file)
+        return original(args)
+
+    monkeypatch.setattr("frvkit.cli.cmd_compute", counted)
+    assert run(capsys, "compute", path) == first
+    assert calls == [path]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_version_flag(capsys):

@@ -50,14 +50,23 @@ def test_convex_sum_requires_pmf_weights(coin):
         convex_sum({"m": half}, {"m": coin})
 
 
-@pytest.mark.parametrize(
+invalid_mixture_weights = pytest.mark.parametrize(
     "weights",
     [{"0": 1, "1": 0}, {"0": Fraction(3, 2), "1": -half}, {"0": half, "1": quarter}],
     ids=["int", "negative", "non-summing"],
 )
+
+
+@invalid_mixture_weights
 def test_convex_sum_rejects_invalid_mixture_weights(coin, weights):
     with pytest.raises(NotAPmf):
         convex_sum(weights, {"0": coin, "1": coin})
+
+
+@invalid_mixture_weights
+def test_mixture_distribution_rejects_invalid_mixture_weights(coin, weights):
+    with pytest.raises(NotAPmf):
+        mixture_distribution(weights, {"0": coin.pmf, "1": coin.pmf})
 
 
 def test_convex_sum_requires_common_space(coin):

@@ -13,7 +13,11 @@ rejection sampling.  ``golden/corpus.json`` holds one sha256 per (seed,
 instance count) over every document of ``build_audit_corpus``: each pair,
 vacuity, mixture, pullback and triangle instance, each mixed pair and
 pulled pair, and each sequence's description, limit and terms at three
-indices.
+indices.  ``golden/parser.json`` holds the exit code, stdout and stderr
+of the text argparse prints (``--help`` of the program and of each
+command, ``--version``, two usage errors) and of the runs that set
+``--pair`` and ``--vars``, which no other golden sets.  Every CLI golden is
+recorded and compared at a terminal width of 80 columns.
 
 Run ``PYTHONPATH=src python tests/test_golden.py --record`` to rewrite the
 files; do that only on a commit whose outputs are trusted, since these
@@ -25,11 +29,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -64,6 +70,16 @@ GENERATE_RUNS = (
     ("triangle_seed5", ["generate", "--kind", "triangle", "--count", "8", "--seed", "5"]),
     ("family_d_seed9", ["generate", "--kind", "triangle", "--family", "d", "--count", "4", "--seed", "9"]),
     ("rejection_seed3", ["generate", "--kind", "triangle", "--rejection", "--count", "4", "--seed", "3"]),
+)
+COMMANDS = ("compute", "triangle", "audit", "generate")
+# Each pair's first run sets a flag that its second run leaves unset.
+FOLLOW_UPS = (
+    ("family_d_seed9", "triangle_seed5"),
+    ("rejection_seed3", "triangle_seed5"),
+    ("compute_generated0_pair_YX_json", "compute_generated0_json"),
+    ("triangle_generated_a_vars_ZYX_json", "triangle_generated_a_json"),
+    ("audit_functional_and_all", "audit_all_seed4"),
+    ("help_compute", "compute_generated0_json"),
 )
 CORPUS_SEEDS = range(40)
 CORPUS_SIZES = (4, 7, 16, 64)
@@ -133,6 +149,24 @@ def cli_runs(documents_path: Path):
         )
         runs.append((f"triangle_{name}_text", ["triangle", doc, "--emit-mediator"]))
     return runs
+
+
+def parser_runs(documents_path: Path):
+    """Every recorded command line of ``golden/parser.json``, as (name, argv)."""
+    documents = json.loads(documents_path.read_text())
+    pair, triangle = documents["pairs"]["generated0"], documents["triangles"]["generated_a"]
+    return [
+        ("help", ["--help"]),
+        *((f"help_{command}", [command, "--help"]) for command in COMMANDS),
+        ("version", ["--version"]),
+        ("compute_missing_file", ["compute"]),
+        ("audit_functional_and_all", ["audit", "--functional", "mutual_information", "--all"]),
+        ("compute_generated0_pair_YX_json", ["compute", pair, "--pair", "Y,X", "--format", "json"]),
+        (
+            "triangle_generated_a_vars_ZYX_json",
+            ["triangle", triangle, "--vars", "Z,Y,X", "--emit-mediator", "--format", "json"],
+        ),
+    ]
 
 
 def wide_triangle_document() -> dict:
@@ -208,8 +242,11 @@ def corpus_digests(instances: int) -> dict:
 
 
 def run_cli(argv, tmp_path: Path):
-    """Exit code and stdout of ``frvkit ARGV``; document arguments are
-    written to files under ``tmp_path`` first."""
+    """Exit code, stdout and stderr of ``frvkit ARGV`` at a terminal width
+    of 80 columns (argparse reads ``COLUMNS`` each time it formats help or
+    usage text); document arguments are written to files under
+    ``tmp_path`` first, and an exit raised by argparse counts with its
+    code."""
     resolved = []
     for arg in argv:
         if isinstance(arg, dict):
@@ -217,10 +254,32 @@ def run_cli(argv, tmp_path: Path):
             path.write_text(json.dumps(arg))
             arg = str(path)
         resolved.append(arg)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(resolved)
-    return code, out.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(resolved)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_invocations() -> dict:
+    """``{name: (argv, expected)}`` over every recorded CLI run, where
+    ``expected`` holds the recorded ``code``, ``stdout`` and, for the
+    parser goldens, ``stderr``."""
+    runs = {}
+    for file, named_runs in (
+        ("cli.json", cli_runs(GOLDEN / "documents.json")),
+        ("generate.json", GENERATE_RUNS),
+        ("parser.json", parser_runs(GOLDEN / "documents.json")),
+    ):
+        golden = json.loads((GOLDEN / file).read_text())
+        runs.update((name, (argv, golden[name])) for name, argv in named_runs)
+    wide = json.loads((GOLDEN / "wide_triangle.json").read_text())
+    for name, argv in wide_triangle_runs(wide["document"]):
+        runs[f"wide_triangle_{name}"] = (argv, wide[name])
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +300,7 @@ def test_measures_bit_identical(case, measures_golden):
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_cli_output_byte_identical(name, argv, tmp_path):
-    code, out = run_cli(argv, tmp_path)
+    code, out, _ = run_cli(argv, tmp_path)
     expected = json.loads((GOLDEN / "cli.json").read_text())[name]
     assert code == expected["code"]
     assert out == expected["stdout"]
@@ -250,14 +309,42 @@ def test_cli_output_byte_identical(name, argv, tmp_path):
 def test_wide_triangle_output_byte_identical(tmp_path):
     golden = json.loads((GOLDEN / "wide_triangle.json").read_text())
     for name, argv in wide_triangle_runs(golden["document"]):
-        code, out = run_cli(argv, tmp_path)
+        code, out, _ = run_cli(argv, tmp_path)
         assert (code, out) == (golden[name]["code"], golden[name]["stdout"]), name
 
 
 @pytest.mark.parametrize("name,argv", GENERATE_RUNS, ids=[name for name, _ in GENERATE_RUNS])
 def test_generate_output_byte_identical(name, argv, tmp_path):
     expected = json.loads((GOLDEN / "generate.json").read_text())[name]
-    assert run_cli(argv, tmp_path) == (expected["code"], expected["stdout"])
+    assert run_cli(argv, tmp_path)[:2] == (expected["code"], expected["stdout"])
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    parser_runs(GOLDEN / "documents.json"),
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_parser_text_byte_identical(name, argv, tmp_path):
+    code, out, err = run_cli(argv, tmp_path)
+    expected = json.loads((GOLDEN / "parser.json").read_text())[name]
+    assert {"code": code, "stdout": out, "stderr": err} == expected
+
+
+def test_one_process_reproduces_every_golden_in_any_order(tmp_path):
+    """Every golden run, in reverse order, then shuffled, then each flag
+    setter followed by a run without the flag, all in one process: no
+    value may leak from one ``main`` call into the next.  Runs reuse the
+    same document paths with new contents, so a cache keyed on a path
+    would show too."""
+    runs = golden_invocations()
+    shuffled = list(runs)
+    random.Random("golden/reentrancy").shuffle(shuffled)
+    order = list(runs)[::-1] + shuffled + [name for pair in FOLLOW_UPS for name in pair]
+    for name in order:
+        argv, expected = runs[name]
+        code, out, err = run_cli(argv, tmp_path)
+        got = {"code": code, "stdout": out, "stderr": err}
+        assert {key: got[key] for key in expected} == expected, name
 
 
 @pytest.mark.parametrize("instances", CORPUS_SIZES)
@@ -276,21 +363,27 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         outputs = {}
         for name, argv in cli_runs(GOLDEN / "documents.json"):
-            code, out = run_cli(argv, Path(scratch))
+            code, out, _ = run_cli(argv, Path(scratch))
             outputs[name] = {"code": code, "stdout": out}
     (GOLDEN / "cli.json").write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     wide = {"document": wide_triangle_document()}
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv in wide_triangle_runs(wide["document"]):
-            code, out = run_cli(argv, Path(scratch))
+            code, out, _ = run_cli(argv, Path(scratch))
             wide[name] = {"code": code, "stdout": out}
     (GOLDEN / "wide_triangle.json").write_text(json.dumps(wide, indent=1, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as scratch:
         generated = {}
         for name, argv in GENERATE_RUNS:
-            code, out = run_cli(argv, Path(scratch))
+            code, out, _ = run_cli(argv, Path(scratch))
             generated[name] = {"code": code, "stdout": out}
     (GOLDEN / "generate.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        parser = {}
+        for name, argv in parser_runs(GOLDEN / "documents.json"):
+            code, out, err = run_cli(argv, Path(scratch))
+            parser[name] = {"code": code, "stdout": out, "stderr": err}
+    (GOLDEN / "parser.json").write_text(json.dumps(parser, indent=1, sort_keys=True) + "\n")
     digests = {}
     for instances in CORPUS_SIZES:
         digests.update(corpus_digests(instances))
