@@ -9,6 +9,15 @@ functoriality over Markov triangles, and vanishing against constants.  A
 candidate that clears all six is then fitted against mutual information on
 a reference fair coin and compared to that multiple across the corpus.
 
+Checks 2-6 each state a finite identity; ``max_residual`` is the largest
+|lhs - rhs|, each side summed left to right as grouped here, with (M1, M2)
+the mixed pair, I the identity on the weighted tags, t in label order:
+  2: |F(M1, M2) - (F(I, I) + float(w_1) F(X_1, Y_1) + ... + float(w_k) F(X_k, Y_k))|
+  3: |F(X, Y) - F(Y, X)|
+  4: |F(X, Y) - F(X o p, Y o p)|, p the measure-preserving map
+  5: |((F(X, Z) - F(X, Y)) - F(Y, Z)) + F(Y, Y)|
+  6: |F(X, C)|, C constant
+
 Checks falsify; they cannot prove.  In particular the continuity check
 evaluates geometric probe indices and requires residuals that shrink and
 end below tolerance, which finite sampling can refute but never certify.
@@ -122,12 +131,6 @@ class MixtureInstance:
 
     def mixed_pair(self) -> Tuple[FiniteRandomVariable, FiniteRandomVariable]:
         return convex_sum_pairs(self.weights, self.pairs)
-
-    def index_variable(self) -> FiniteRandomVariable:
-        """The mixture weights realized as the identity variable on the
-        weighted tag set; any pullback-invariant continuous functional sees
-        only this distribution."""
-        return canonical_variable(self.weights)
 
     def as_document(self) -> dict:
         tags = sort_labels(self.weights)
@@ -274,30 +277,50 @@ def _guarded(functional: CandidateFunctional) -> Callable[..., float]:
     return call
 
 
+def _identity(sides: Callable[[object], tuple]) -> Callable[..., float]:
+    """The residual |lhs - rhs| of a finite identity.  ``sides(inst)`` gives
+    its two ordered sides, each a list of terms (c, X, Y) standing for
+    c * F(X, Y) and summed left to right in an explicit loop: builtin
+    ``sum()`` compensates float sums from Python 3.12 on, which would change
+    the bits a report prints."""
+
+    def residual(f: Callable[..., float], inst) -> float:
+        totals = []
+        for side in sides(inst):
+            totals.append(0)
+            for coefficient, x, y in side:
+                totals[-1] = totals[-1] + coefficient * f(x, y)
+        return abs(totals[0] - totals[1])
+
+    return residual
+
+
 def _report(
     axiom: int,
+    functional: CandidateFunctional,
     instances: Sequence,
-    residual: Callable[[object], float],
+    residual: Callable[..., float],
     tolerance: float,
     document: Callable[[object], dict] = lambda inst: inst.as_document(),
 ) -> AxiomReport:
-    """Evaluate ``residual`` on every instance and keep the worst: the first
-    non-finite residual or raising functional if there is one, else the
-    first instance with the largest residual."""
+    """Evaluate ``residual(f, inst)``, with ``f`` the guarded functional, on
+    every instance and keep the worst: the first non-finite residual or
+    raising functional if there is one, else the first instance with the
+    largest residual."""
+    f = _guarded(functional)
     max_residual = 0.0
     witness = None
     error: Optional[str] = None
     for inst in instances:
         try:
-            value, raised = residual(inst), None
+            value, raised = residual(f, inst), None
         except _FunctionalRaised as exc:
             value, raised = math.nan, str(exc)
         # ``not value <= max_residual`` is ``value > max_residual`` or NaN.
         if math.isfinite(max_residual) and not value <= max_residual:
             max_residual, witness, error = value, inst, raised
-    failed = not max_residual <= tolerance
     counterexample = None
-    if failed and witness is not None:
+    if witness is not None and not max_residual <= tolerance:
         counterexample = document(witness)
         counterexample["max_residual"] = max_residual
         if error is not None:
@@ -317,95 +340,71 @@ def _report(
 
 
 def check_continuity(
-    functional: CandidateFunctional,
-    instances: Sequence[SequenceInstance],
-    tolerance: float,
+    functional: CandidateFunctional, instances: Sequence[SequenceInstance], tolerance: float
 ) -> AxiomReport:
     """Axiom 1: F along each sequence must approach F at the limit.
 
     Per instance the residual is the gap at the largest index of
-    ``CONTINUITY_PROBES``, plus
-    any growth between consecutive probes (a shrinking tail cannot hide a
-    diverging one).
+    ``CONTINUITY_PROBES``, plus any growth between consecutive probes (a
+    shrinking tail cannot hide a diverging one).
     """
-    f = _guarded(functional)
 
-    def residual(inst: SequenceInstance) -> float:
+    def residual(f: Callable[..., float], inst: SequenceInstance) -> float:
         limit_value = f(*inst.limit_pair())
         gaps = [abs(f(*inst.term_pair(n)) - limit_value) for n in CONTINUITY_PROBES]
-        growth = max(
-            [0.0] + [gaps[i + 1] - gaps[i] for i in range(len(gaps) - 1)]
-        )
+        growth = max([0.0] + [gaps[i + 1] - gaps[i] for i in range(len(gaps) - 1)])
         # max() would drop a NaN gap, so a non-finite gap is the residual.
         return next((gap for gap in gaps if not math.isfinite(gap)), max(gaps[-1], growth))
 
-    return _report(1, instances, residual, tolerance)
+    return _report(1, functional, instances, residual, tolerance)
 
 
 def check_strong_additivity(
-    functional: CandidateFunctional,
-    instances: Sequence[MixtureInstance],
-    tolerance: float,
+    functional: CandidateFunctional, instances: Sequence[MixtureInstance], tolerance: float
 ) -> AxiomReport:
     """Axiom 2: F of a weighted convex sum of pairs must equal F on the
     weight distribution's identity pair plus the weighted component values."""
-    f = _guarded(functional)
 
-    def residual(inst: MixtureInstance) -> float:
-        lhs = f(*inst.mixed_pair())
-        index_var = inst.index_variable()
-        rhs = f(index_var, index_var)
-        for tag in sort_labels(inst.weights):
-            first, second = inst.pairs[tag]
-            rhs += float(inst.weights[tag]) * f(first, second)
-        return abs(lhs - rhs)
+    def sides(inst: MixtureInstance) -> tuple:
+        index = canonical_variable(inst.weights)  # the identity on the weighted tags
+        weighted = [(float(inst.weights[tag]), *inst.pairs[tag]) for tag in sort_labels(inst.weights)]
+        return [(1, *inst.mixed_pair())], [(1, index, index), *weighted]
 
-    return _report(2, instances, residual, tolerance)
+    return _report(2, functional, instances, _identity(sides), tolerance)
 
 
 def check_symmetry(
-    functional: CandidateFunctional,
-    instances: Sequence[PairInstance],
-    tolerance: float,
+    functional: CandidateFunctional, instances: Sequence[PairInstance], tolerance: float
 ) -> AxiomReport:
     """Axiom 3: F(X, Y) = F(Y, X)."""
-    f = _guarded(functional)
-    return _report(3, instances, lambda inst: abs(f(inst.x, inst.y) - f(inst.y, inst.x)), tolerance)
+    residual = _identity(lambda inst: ([(1, inst.x, inst.y)], [(1, inst.y, inst.x)]))
+    return _report(3, functional, instances, residual, tolerance)
 
 
 def check_pullback_invariance(
-    functional: CandidateFunctional,
-    instances: Sequence[PullbackInstance],
-    tolerance: float,
+    functional: CandidateFunctional, instances: Sequence[PullbackInstance], tolerance: float
 ) -> AxiomReport:
     """Axiom 4: composing both variables with a measure-preserving map must
     not change F."""
-    f = _guarded(functional)
-    return _report(4, instances, lambda inst: abs(f(inst.x, inst.y) - f(*inst.pulled())), tolerance)
+    residual = _identity(lambda inst: ([(1, inst.x, inst.y)], [(1, *inst.pulled())]))
+    return _report(4, functional, instances, residual, tolerance)
 
 
 def check_weak_functoriality(
-    functional: CandidateFunctional,
-    triangles: Sequence[Triple],
-    tolerance: float,
+    functional: CandidateFunctional, triangles: Sequence[Triple], tolerance: float
 ) -> AxiomReport:
-    """Axiom 5: F(X,Z) = F(X,Y) + F(Y,Z) - F(Y,Y) on Markov triangles."""
-    f = _guarded(functional)
-
-    def residual(t: Triple) -> float:
-        return abs(f(t.x, t.z) - f(t.x, t.y) - f(t.y, t.z) + f(t.y, t.y))
-
-    return _report(5, triangles, residual, tolerance, triangle_document)
+    """Axiom 5: F(X,Z) = F(X,Y) + F(Y,Z) - F(Y,Y) on Markov triangles,
+    evaluated as one signed side."""
+    residual = _identity(lambda t: ([(1, t.x, t.z), (-1, t.x, t.y), (-1, t.y, t.z), (1, t.y, t.y)], []))
+    return _report(5, functional, triangles, residual, tolerance, triangle_document)
 
 
 def check_vacuity(
-    functional: CandidateFunctional,
-    instances: Sequence[VacuityInstance],
-    tolerance: float,
+    functional: CandidateFunctional, instances: Sequence[VacuityInstance], tolerance: float
 ) -> AxiomReport:
     """Axiom 6: F against any constant variable vanishes."""
-    f = _guarded(functional)
-    return _report(6, instances, lambda inst: abs(f(inst.x, inst.c)), tolerance)
+    residual = _identity(lambda inst: ([(1, inst.x, inst.c)], []))
+    return _report(6, functional, instances, residual, tolerance)
 
 
 def characterization_probe(

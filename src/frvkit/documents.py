@@ -1,7 +1,8 @@
 """Instance documents: the JSON wire format for spaces and variables.
 
-Probabilities travel as exact ``"num/den"`` strings; floats appear only in
-computed reports, never in probability data.  A document is either
+Probabilities travel as exact ``"num/den"`` strings of ASCII digits; floats
+appear only in computed reports, never in probability data.  No object may
+repeat a key.  A document is either
 
 - a space form::
 
@@ -29,6 +30,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
@@ -37,6 +39,8 @@ from .errors import DocumentError, FrvError
 from .labels import Label, decode_label, encode_label, label_key
 
 DOCUMENT_VERSION = 1
+# ``[0-9]``, not ``\d``: a str pattern's ``\d`` also matches non-ASCII digits.
+_RATIONAL = re.compile(r"[0-9]+/[0-9]+")
 
 
 def format_rational(value: Fraction) -> str:
@@ -44,8 +48,11 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text, path: str) -> Fraction:
-    if not isinstance(text, str):
-        raise DocumentError(path, f"expected a \"num/den\" string, got {text!r}")
+    """The exact value of a ``"num/den"`` string: ASCII digits, a slash and
+    ASCII digits, with no sign, space, underscore, decimal point or
+    exponent."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise DocumentError(path, f"expected a \"num/den\" string of ASCII digits, got {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -206,9 +213,21 @@ def serialize_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a repeated key is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError("", f"duplicate object key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_document(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except (ValueError, RecursionError) as exc:

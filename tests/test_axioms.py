@@ -6,23 +6,36 @@ import pytest
 from frvkit import (
     CandidateFunctional,
     DegenerateFit,
+    Triple,
     audit,
     build_audit_corpus,
     builtin_functionals,
     canonical_product,
     canonical_variable,
     characterization_probe,
+    check_pullback_invariance,
+    check_strong_additivity,
     check_symmetry,
     check_vacuity,
+    check_weak_functoriality,
     constant_variable,
     entropy,
     get_functional,
     joint_table,
     mixture_distribution,
     mutual_information,
+    refinement_map,
     relabel,
+    space,
+    variable,
 )
-from frvkit.axioms import PairInstance, AXIOM_NAMES
+from frvkit.axioms import (
+    AXIOM_NAMES,
+    MixtureInstance,
+    PairInstance,
+    PullbackInstance,
+    VacuityInstance,
+)
 from frvkit.generators import random_bijection, random_mixture, random_pair
 
 half = Fraction(1, 2)
@@ -194,8 +207,6 @@ def test_continuity_check_trivial_on_constant_sequences():
 
 
 def test_strong_additivity_single_component_reduces(small_corpus):
-    from frvkit.axioms import MixtureInstance, check_strong_additivity
-
     pair = small_corpus.pairs[0]
     instance = MixtureInstance(
         weights={"m": Fraction(1)}, pairs={"m": (pair.x, pair.y)}
@@ -400,3 +411,89 @@ def test_probe_fails_on_nan_and_on_exceptions(small_corpus):
     raised = characterization_probe(CandidateFunctional("raises", raise_on_constants), pairs)
     assert not raised.passed
     assert raised.as_document()["error"] == "KeyError: 'constant'"
+
+
+# ---------------------------------------------------------------------------
+# Grouping and call order of the identity residuals
+
+
+def _grouping_oracle():
+    """Four variables on one uniform space, and a functional that returns a
+    chosen float for each (name, name) pair it is called on, recording the
+    call.  Names resolve by structural equality, so derived variables (the
+    mixed pair, the index variable, pulled variables) get the names the
+    caller registers for them."""
+    sp = space(dict.fromkeys(("w1", "w2", "w3", "w4"), Fraction(1, 4)))
+    known = {
+        "X": variable(sp, {"w1": "a", "w2": "a", "w3": "b", "w4": "b"}),
+        "Y": variable(sp, {"w1": "u", "w2": "v", "w3": "u", "w4": "v"}),
+        "Z": variable(sp, {"w1": "p", "w2": "p", "w3": "p", "w4": "q"}),
+        "C": constant_variable(sp, "k"),
+    }
+    values, calls = {}, []
+
+    def name(v):
+        return next(key for key, known_v in known.items() if known_v == v)
+
+    def fn(x, y):
+        calls.append((name(x), name(y)))
+        return values[calls[-1]]
+
+    return known, values, calls, CandidateFunctional("keyed", fn)
+
+
+def test_strong_additivity_residual_grouping_and_call_order():
+    known, values, calls, candidate = _grouping_oracle()
+    x, y, z = known["X"], known["Y"], known["Z"]
+    weights = {"t3": Fraction(1, 4), "t1": Fraction(1, 4), "t2": Fraction(1, 2)}
+    inst = MixtureInstance(weights, {"t3": (z, x), "t1": (x, y), "t2": (y, z)})
+    known["M1"], known["M2"] = inst.mixed_pair()
+    known["I"] = canonical_variable(weights)
+    values.update({
+        ("M1", "M2"): 1.0, ("I", "I"): 1e16,
+        ("X", "Y"): 4.0, ("Y", "Z"): -2e16, ("Z", "X"): 3.0,
+    })
+    report = check_strong_additivity(candidate, [inst], 1e-9)
+    rhs = ((1e16 + 0.25 * 4.0) + 0.5 * -2e16) + 0.25 * 3.0
+    assert report.max_residual.hex() == abs(1.0 - rhs).hex() == (0.25).hex()
+    assert calls == [("M1", "M2"), ("I", "I"), ("X", "Y"), ("Y", "Z"), ("Z", "X")]
+
+
+def test_symmetry_residual_grouping_and_call_order():
+    known, values, calls, candidate = _grouping_oracle()
+    values.update({("X", "Y"): 0.1, ("Y", "X"): 0.3})
+    report = check_symmetry(candidate, [PairInstance(known["X"], known["Y"])], 1e-9)
+    assert report.max_residual.hex() == abs(0.1 - 0.3).hex()
+    assert calls == [("X", "Y"), ("Y", "X")]
+
+
+def test_pullback_invariance_residual_grouping_and_call_order():
+    known, values, calls, candidate = _grouping_oracle()
+    x, y = known["X"], known["Y"]
+    split = refinement_map(x.space, {w: (Fraction(1, 3), Fraction(2, 3)) for w in x.space.outcomes})
+    inst = PullbackInstance(x, y, split)
+    known["PX"], known["PY"] = inst.pulled()
+    values.update({("X", "Y"): 0.1, ("PX", "PY"): 0.7})
+    report = check_pullback_invariance(candidate, [inst], 1e-9)
+    assert report.max_residual.hex() == abs(0.1 - 0.7).hex()
+    assert calls == [("X", "Y"), ("PX", "PY")]
+
+
+def test_weak_functoriality_residual_grouping_and_call_order():
+    known, values, calls, candidate = _grouping_oracle()
+    values.update({("X", "Z"): 1e16, ("X", "Y"): -1.0, ("Y", "Z"): 2.0**53, ("Y", "Y"): -1.0})
+    triple = Triple(known["X"], known["Y"], known["Z"])
+    report = check_weak_functoriality(candidate, [triple], 1e-9)
+    # One signed side, left to right; every other grouping of these four
+    # values, and an exact sum, end one unit or two away.
+    expected = abs(((1e16 - -1.0) - 2.0**53) + -1.0)
+    assert report.max_residual.hex() == expected.hex() == (992800745259007.0).hex()
+    assert calls == [("X", "Z"), ("X", "Y"), ("Y", "Z"), ("Y", "Y")]
+
+
+def test_vacuity_residual_grouping_and_call_order():
+    known, values, calls, candidate = _grouping_oracle()
+    values[("X", "C")] = -0.1
+    report = check_vacuity(candidate, [VacuityInstance(known["X"], known["C"])], 1e-9)
+    assert report.max_residual.hex() == (0.1).hex()
+    assert calls == [("X", "C")]

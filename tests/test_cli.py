@@ -129,6 +129,43 @@ def test_compute_invalid_rational_exits_2(tmp_path, capsys):
     assert "space.weights.w1" in err
 
 
+@pytest.mark.parametrize("cell", [" 1/2", "+1/2", "1_0/2_0", "0.5", "1/2 ", "\u0661/\u0662"])
+def test_compute_lax_rational_exits_2_naming_the_field(tmp_path, capsys, cell):
+    doc = {
+        "version": 1,
+        "joint": {"rows": ["a", "b"], "cols": ["u"], "cells": [[cell], ["1/2"]]},
+    }
+    code, out, err = run(capsys, "compute", write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert "joint.cells[0][0]" in err
+
+
+def _write_text(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_compute_repeated_weight_key_exits_2(tmp_path, capsys):
+    # Last-wins would read w2 as 1/2 and pass the sum check.
+    text = """{"version": 1,
+      "space": {"outcomes": ["w1", "w2"], "weights": {"w1": "1/2", "w2": "1/4", "w2": "1/2"}},
+      "variables": {"X": {"w1": "a", "w2": "b"}, "Y": {"w1": "a", "w2": "b"}}}"""
+    code, out, err = run(capsys, "compute", _write_text(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert "duplicate object key 'w2'" in err
+
+
+def test_compute_repeated_assignment_key_exits_2(tmp_path, capsys):
+    # Last-wins would silently make X constant.
+    text = """{"version": 1,
+      "space": {"outcomes": ["w1", "w2"], "weights": {"w1": "1/2", "w2": "1/2"}},
+      "variables": {"X": {"w1": "a", "w2": "b", "w1": "b"}, "Y": {"w1": "a", "w2": "b"}}}"""
+    code, out, err = run(capsys, "compute", _write_text(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert "duplicate object key 'w1'" in err
+
+
 def test_compute_bad_weight_sum_exits_2(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -24,7 +24,8 @@ def test_rational_codec_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("1/0", "h/t", 0.5, None):
+    lax = (" 1/2", "+1/2", "1_0/2_0", "0.5", "1/2 ", "\u0661/\u0662", "1e-1", "3", "-1/2", "1/2\n")
+    for bad in ("1/0", "h/t", 0.5, None, *lax):
         with pytest.raises(DocumentError):
             parse_rational(bad, "field")
 
