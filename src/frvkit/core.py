@@ -6,11 +6,11 @@ values, sums are required to equal 1 with zero residual, and all derived
 quantities (pmfs, joint cells, marginals) stay rational.  Floating point
 enters only in the entropy layer (:mod:`frvkit.measures`).
 
-A space checks its weights once, when it is built, and keeps them as
-integer masses over one common denominator (the lcm of the weight
-denominators).  Label masses, joint cells and the measures are integer sums
-of those masses; ``Fraction`` values are made only where the public API
-returns them.
+A space checks its weights once, when it is built, in one pass that reads
+each weight's integer ratio once, and keeps them as integer masses over one
+common denominator (the lcm of the weight denominators).  Label masses,
+joint cells and the measures are integer sums of those masses; ``Fraction``
+values are made only where the public API returns them.
 
 All values are immutable after construction and safe to share across
 threads.  Equality is structural, so two independently built copies of the
@@ -36,19 +36,18 @@ def _check_weights(weights: Mapping, what: str) -> Tuple[int, Dict]:
     """Check that ``weights`` are ``Fraction`` probabilities summing to
     exactly 1 and return ``(D, masses)``: D is the lcm of their denominators
     and ``masses[key] / D`` is the weight of ``key``."""
-    denominator = 1
+    nums, dens = [], []
     for key, value in weights.items():
         if not isinstance(value, Fraction):
             raise NotAPmf(f"{what} {label_text(key)}: expected Fraction, got {type(value).__name__}")
-        if value.numerator < 0 or value.numerator > value.denominator:
+        n, d = value.as_integer_ratio()
+        if n < 0 or n > d:
             raise NotAPmf(f"{what} {label_text(key)}: {value} outside [0, 1]")
-        denominator = lcm(denominator, value.denominator)
-    masses = {
-        key: value.numerator * (denominator // value.denominator)
-        for key, value in weights.items()
-    }
-    total = sum(masses.values())
-    if total != denominator:
+        nums.append(n)
+        dens.append(d)
+    denominator = lcm(*dens)
+    masses = {key: n * (denominator // d) for key, n, d in zip(weights, nums, dens)}
+    if (total := sum(masses.values())) != denominator:
         raise NotAPmf(f"{what} sum is {Fraction(total, denominator)}, expected exactly 1")
     return denominator, masses
 
@@ -69,9 +68,10 @@ class SampleSpace:
     masses: Dict[Outcome, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.outcomes)) != len(self.outcomes):
+        outcomes = set(self.outcomes)
+        if len(outcomes) != len(self.outcomes):
             raise NotAPmf("duplicate outcomes in sample space")
-        if set(self.weights) != set(self.outcomes):
+        if self.weights.keys() != outcomes:
             raise NotAPmf("weight map does not cover exactly the outcome set")
         denominator, masses = _check_weights(self.weights, "outcome weight")
         object.__setattr__(self, "denominator", denominator)
@@ -103,7 +103,7 @@ class FiniteRandomVariable:
     assignment: Dict[Outcome, Label]
 
     def __post_init__(self):
-        if set(self.assignment) != set(self.space.outcomes):
+        if self.assignment.keys() != self.space.masses.keys():
             raise AlphabetMismatch("assignment is not total on the outcome set")
 
     @cached_property
@@ -233,7 +233,7 @@ class MeasurePreservingMap:
     mapping: Dict[Outcome, Outcome]
 
     def __post_init__(self):
-        if set(self.mapping) != set(self.source.outcomes):
+        if self.mapping.keys() != self.source.masses.keys():
             raise DomainMismatch("map is not total on the source outcomes")
         pushed: Dict[Outcome, int] = dict.fromkeys(self.target.outcomes, 0)
         for src, dst in self.mapping.items():

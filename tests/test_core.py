@@ -22,7 +22,7 @@ from frvkit import (
     space,
     variable,
 )
-from frvkit.core import MeasurePreservingMap
+from frvkit.core import JointTable, MeasurePreservingMap, SampleSpace
 from frvkit.generators import random_pair, random_pullback, random_refinement
 
 half = Fraction(1, 2)
@@ -221,6 +221,79 @@ def test_space_rejects_bad_weight_sums():
         space({"a": Fraction(1, 2), "b": Fraction(1, 3)})
     with pytest.raises(NotAPmf):
         space({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            [("a", half), ("b", 0.25), ("c", Fraction(3, 2)), ("d", "1/4")],
+            "outcome weight b: expected Fraction, got float",
+        ),
+        (
+            [("a", half), ("c", Fraction(3, 2)), ("b", 0.25), ("d", "1/4")],
+            "outcome weight c: 3/2 outside [0, 1]",
+        ),
+        (
+            [("d", Fraction(-1, 4)), ("a", half), ("b", 0.25), ("c", Fraction(3, 2))],
+            "outcome weight d: -1/4 outside [0, 1]",
+        ),
+        (
+            [("d", "1/4"), ("c", Fraction(3, 2)), ("a", 1), ("b", Fraction(-1, 4))],
+            "outcome weight d: expected Fraction, got str",
+        ),
+        ([(("a", "u"), 1), ("b", half)], "outcome weight (a,u): expected Fraction, got int"),
+    ],
+)
+def test_weight_check_names_the_first_bad_entry_in_iteration_order(entries, message):
+    weights = dict(entries)
+    with pytest.raises(NotAPmf) as excinfo:
+        SampleSpace(tuple(weights), weights)
+    assert str(excinfo.value) == message
+
+
+def test_weight_check_sum_messages():
+    with pytest.raises(NotAPmf) as excinfo:
+        space({"a": Fraction(1, 2), "b": Fraction(1, 3)})
+    assert str(excinfo.value) == "outcome weight sum is 5/6, expected exactly 1"
+    with pytest.raises(NotAPmf) as excinfo:
+        JointTable(("a",), ("u", "v"), {("a", "u"): Fraction(1, 4), ("a", "v"): Fraction(1, 4)})
+    assert str(excinfo.value) == "joint cell sum is 1/2, expected exactly 1"
+    with pytest.raises(NotAPmf) as excinfo:
+        SampleSpace((), {})
+    assert str(excinfo.value) == "outcome weight sum is 0, expected exactly 1"
+
+
+def test_space_denominator_is_the_lcm_of_the_weight_denominators():
+    sp = space({"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)})
+    assert (sp.denominator, sp.masses) == (6, {"a": 3, "b": 2, "c": 1})
+    assert list(sp.masses) == ["a", "b", "c"]
+    assert space({"a": Fraction(2, 4), "b": Fraction(3, 6)}).denominator == 2
+    assert space({"a": Fraction(1), "b": Fraction(0)}).masses == {"a": 1, "b": 0}
+
+
+def test_space_rejects_duplicate_or_uncovered_outcomes():
+    cases = [
+        (("a", "a", "b"), {"a": half, "b": half}, "duplicate outcomes in sample space"),
+        (("a", "b"), {"a": Fraction(1)}, "weight map does not cover exactly the outcome set"),
+        (("a",), {"a": half, "b": half}, "weight map does not cover exactly the outcome set"),
+        (("a", "b"), {"a": half, "c": half}, "weight map does not cover exactly the outcome set"),
+    ]
+    for outcomes, weights, message in cases:
+        with pytest.raises(NotAPmf) as excinfo:
+            SampleSpace(outcomes, weights)
+        assert str(excinfo.value) == message
+
+
+def test_assignment_and_mapping_must_match_the_outcomes_exactly(coin_space):
+    with pytest.raises(AlphabetMismatch):
+        variable(coin_space, {"w1": "h", "w2": "t", "w3": "t"})
+    with pytest.raises(AlphabetMismatch):
+        variable(coin_space, {"w1": "h", "w3": "t"})
+    with pytest.raises(DomainMismatch):
+        MeasurePreservingMap(coin_space, coin_space, {"w1": "w1", "w2": "w2", "w3": "w1"})
+    with pytest.raises(DomainMismatch):
+        MeasurePreservingMap(coin_space, coin_space, {"w1": "w1"})
 
 
 def test_space_coerces_int_and_string_weights():

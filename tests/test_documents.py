@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -130,3 +132,51 @@ def test_assignment_must_be_total():
             }
         )
     assert "variables.X" in str(excinfo.value)
+
+
+
+ORACLE_TREES = 3000
+ODD_FLOATS = (-0.0, 0.0, 1e16, 5e-324, 1.5, -2.25e-8, 1e308, math.nan, math.inf, -math.inf)
+ODD_INTS = (0, -1, 2**53 + 1, 10**40, -(10**40))
+ODD_STRINGS = ("", "a", "1/2", "caf\u00e9", "\u0661/\u0662", "\U0001f600", "\x00\x1f\t\n\r\x7f", '"', "\\", " ")
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A random tree of values ``json.dumps`` accepts: nested dicts, lists
+    and tuples, possibly empty, over odd scalars and strings."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice((None, True, False, *ODD_INTS, rng.randrange(-1000, 1000)))
+    if kind == 1:
+        return rng.choice((*ODD_FLOATS, rng.uniform(-1e6, 1e6), rng.random()))
+    if kind in (2, 3, 4):
+        tail = "".join(chr(rng.randrange(0x2FF)) for _ in range(rng.randrange(4)))
+        return rng.choice(ODD_STRINGS) + tail
+    size = rng.choice((0, 1, 2, 5))
+    if kind in (5, 6):
+        return {
+            rng.choice(ODD_STRINGS) + str(rng.randrange(50)): _random_json(rng, depth + 1)
+            for _ in range(size)
+        }
+    items = [_random_json(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 7 else items
+
+
+def test_serialize_document_matches_json_dumps_byte_for_byte():
+    rng = random.Random("serializer/oracle")
+    fixed = [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, -0.0, 1e16, 5e-324, 10**40, True, False, None,
+        [math.nan, math.inf, -math.inf], {"\u00e9\x00\"\\": ["\U0001f600", "\x1f"]},
+        {"z": 1, "a": [1, (2, [3, {}])], "m": {"y": True, "x": None}},
+    ]
+    trees = fixed + [_random_json(rng) for _ in range(ORACLE_TREES)]
+    for tree in trees:
+        assert serialize_document(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n", tree
+
+
+def test_serialize_document_hands_other_values_to_json():
+    for nested in ({"b": {2: "x", 1: [True]}, "a": [{2.5: {}, -1.0: 1}]}, [[{None: ()}], {False: 0}]):
+        assert serialize_document(nested) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
+    for bad in ({"a": {1, 2}}, [object()], {"a": {("k",): 1}}):
+        with pytest.raises(TypeError):
+            serialize_document(bad)

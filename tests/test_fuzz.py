@@ -12,6 +12,9 @@ import random
 
 from goldens import GOLDEN, run_cli
 
+from frvkit.axioms import builtin_functionals
+from frvkit.markov import FAMILIES
+
 CASES = 400
 LAX_RATIONALS = (" 1/2", "+1/2", "1_0/2_0", "0.5", "1/2 ", "\u0661/\u0662", "1e-1", "3", "-1/2", "1/2\n")
 ODD_VALUES = (None, True, 0, -1, 1.5, "", "x", "1/2", [], {}, [[]], ["a", "b"], [[[[[]]]]])
@@ -88,3 +91,56 @@ def test_mutated_documents_exit_0_or_2_without_a_traceback(tmp_path):
         assert code == 2 or kind not in ("lax", "repeat"), (case, text)
         exits[code] += 1
     assert exits[2] > CASES // 2 and exits[0] > 0
+
+
+OPTION_CASES = 150
+FUNCTIONALS = [functional.name for functional in builtin_functionals()]
+SEEDS = ("0", "7", "-1", "-123456789", str(2**64), str(10**40), str(-(10**40)))
+# (valid, invalid) values of each option; every count stays at most 8.
+TOLERANCES = (
+    ("-0.0", "5e-324", "0", "1e-9", "1e300"),
+    ("nan", "NaN", "1e400", "-1e400", "inf", "-1e-300", "x", ""),
+)
+INSTANCES = (("4", "5", "8"), ("-3", "0", "1", "3", "2.5", "1e1", "four"))
+COUNTS = (("0", "1", "3", "8"), ("-2", "-1", "1.5", "2e0", ""))
+
+
+def _option_case(rng: random.Random):
+    """One random ``audit`` or ``generate`` argv, and whether every option
+    value in it is valid."""
+    valid = True
+
+    def pick(values):
+        nonlocal valid
+        good = rng.random() < 0.75
+        valid = valid and good
+        return rng.choice(values[0] if good else values[1])
+
+    seed = ["--seed", rng.choice(SEEDS)] if rng.random() < 0.8 else []
+    if rng.random() < 0.6:
+        target = ["--all"] if rng.random() < 0.2 else ["--functional", rng.choice(FUNCTIONALS)]
+        argv = ["audit", *target, *seed, "--instances", pick(INSTANCES)]
+        for option in ("--tol", "--probe-tol"):
+            argv += [option, pick(TOLERANCES)] if rng.random() < 0.7 else []
+        return argv, valid
+    recipe = rng.choice(([], ["--rejection"], ["--family", rng.choice(FAMILIES)]))
+    kind = rng.choice(("pair", "triangle"))
+    return ["generate", "--kind", kind, *seed, "--count", pick(COUNTS), *recipe], valid
+
+
+def test_audit_and_generate_option_values_exit_0_1_or_2_without_a_traceback(tmp_path):
+    rng = random.Random("fuzz/options")
+    exits = {0: 0, 1: 0, 2: 0}
+    for case in range(OPTION_CASES):
+        argv, valid = _option_case(rng)
+        code, _, err = run_cli(argv, tmp_path)
+        assert code in exits and "Traceback" not in err, (case, argv, code, err)
+        # Bad option values exit 2.  Valid ones exit 0 or 1, except for a
+        # DegenerateFit: a huge --tol lets every check pass, and the probe
+        # then refuses a zero fit on the coin as a library error, which exits 2.
+        assert code == 2 or valid, (case, argv, code, err)
+        assert code != 2 or not valid or "fit on the reference coin" in err, (case, argv, err)
+        # generate never reports a failure.
+        assert code != 1 or argv[0] == "audit", (case, argv)
+        exits[code] += 1
+    assert min(exits.values()) > 0, exits
