@@ -705,7 +705,7 @@ def audit(
 ) -> AuditResult:
     """Run all six checks on ``corpus``, by default ``build_audit_corpus()``;
     run the characterization probe only if they all pass (a failed axiom
-    already refutes the scale-fit hypothesis)."""
+    already refutes the scale-fit hypothesis); a degenerate fit fails it."""
     if corpus is None:
         corpus = build_audit_corpus()
     reports = (
@@ -718,7 +718,11 @@ def audit(
     )
     probe = None
     if all(r.passed for r in reports):
-        probe = characterization_probe(functional, corpus.probe_pairs(), probe_tolerance)
+        pairs = corpus.probe_pairs()
+        try:
+            probe = characterization_probe(functional, pairs, probe_tolerance)
+        except DegenerateFit as exc:
+            probe = ProbeReport(math.nan, math.nan, len(pairs), probe_tolerance, error=str(exc))
     return AuditResult(
         functional=functional.name,
         seed=corpus.seed,

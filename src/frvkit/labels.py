@@ -29,6 +29,13 @@ def label_key(label: Label):
 
 
 def sort_labels(labels: Iterable[Label]) -> list:
+    """The labels in :func:`label_key` order, which is the built-in order
+    when all are strings or all are tuples of strings."""
+    labels = list(labels)
+    if all(type(label) is str for label in labels) or all(
+        type(label) is tuple and all(type(part) is str for part in label) for label in labels
+    ):
+        return sorted(labels)
     return sorted(labels, key=label_key)
 
 

@@ -11,37 +11,39 @@ cell independently of the others, so search reduces to per-cell candidate
 sets: a mediator exists iff every cell's candidate set is nonempty, and the
 lexicographically least candidate per cell gives a canonical witness.
 
-Candidates are found by a support-row walk.  Over integer masses the
-equation reads n(x,z) n(y) = n(y,z) n(x,y).  Where n(x,z) > 0 both sides
-must be positive, so only the labels y of x's support row, those with
-n(x,y) > 0, can hold, and only that row is walked.  Where n(x,z) = 0 every
-y off the row holds, so the walk over the whole Y-alphabet meets a
-candidate within |row| + 1 tests.  Both walks go in label order, so the
-candidate lists are exactly those of a dense scan.
+Each triple builds its integer tables once: one pass over the outcomes
+fills n(x,y), n(y,z) and n(x,z); each x gets a support row of
+(y, n(y), n(x,y)) for the y with n(x,y) > 0, and each z a column
+{y: n(y,z)}.  Over them the equation reads n(x,z) n(y) = n(y,z) n(x,y),
+tested by one function of four integers.  Where n(x,z) > 0 only x's
+support row can hold, and only it is walked; where n(x,z) = 0 every y off
+the row holds, so the walk over the Y-alphabet meets a candidate within
+|row| + 1 tests.  Both walks go in label order, as a dense scan would.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .core import FiniteRandomVariable, canonical_product, joint_masses
+from .core import FiniteRandomVariable, canonical_product
 from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
-from .measures import DEFAULT_BASE, _conditional_entropy, _log_for_base, _mutual_information
+from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _log_for_base
 
 FAMILIES = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True)
 class Triple:
-    """Three variables on one shared space, with cached integer joint masses
-    n(x,y), n(y,z) and n(x,z) over the space's denominator, and the support
-    row of every x."""
+    """Three variables on one shared space, with integer tables over its
+    denominator built once per triple: the joint masses n(x,y), n(y,z) and
+    n(x,z), the support row of every x and the column of every z."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -53,32 +55,43 @@ class Triple:
 
     @cached_property
     def _joint(self) -> Tuple[Dict, Dict, Dict]:
-        x, y, z = self.x, self.y, self.z
-        return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
+        """n(x,y), n(y,z) and n(x,z), filled in one pass over the outcomes."""
+        xs, ys, zs = self.x.assignment, self.y.assignment, self.z.assignment
+        xy, yz, xz = defaultdict(int), defaultdict(int), defaultdict(int)
+        for outcome, mass in self.x.space.masses.items():
+            x, y, z = xs[outcome], ys[outcome], zs[outcome]
+            xy[x, y] += mass
+            yz[y, z] += mass
+            xz[x, z] += mass
+        return xy, yz, xz
 
     @cached_property
-    def _rows(self) -> Dict[Label, List[Label]]:
-        """x -> its support row: the labels y with n(x,y) > 0, in label order."""
-        xy = self._joint[0]
-        rank = {y: i for i, y in enumerate(self.y.alphabet)}
-        rows: Dict[Label, List[Label]] = {x: [] for x in self.x.alphabet}
-        for x, y in sorted((c for c, n in xy.items() if n), key=lambda c: rank[c[1]]):
-            rows[x].append(y)
-        return rows
+    def _tables(self) -> Tuple[Dict, Dict]:
+        """The support row of every x, (y, n(y), n(x,y)) for each y with
+        n(x,y) > 0 in label order, and the column {y: n(y,z)} of every z."""
+        xy, yz, _ = self._joint
+        by_y: Dict[Label, List] = {y: [] for y in self.y.alphabet}
+        for (x, y), n in xy.items():
+            if n:
+                by_y[y].append((x, n))
+        rows: Dict[Label, List] = {x: [] for x in self.x.alphabet}
+        for (y, hits), n_y in zip(by_y.items(), self.y.masses.values()):
+            for x, n in hits:
+                rows[x].append((y, n_y, n))
+        columns: Dict[Label, Dict] = {z: {} for z in self.z.alphabet}
+        for (y, z), n in yz.items():
+            columns[z][y] = n
+        return rows, columns
 
-    def _holds(self, z: Label, x: Label, y: Label) -> bool:
-        """The mediator equation P(z|x) = P(z|y) P(y|x) at one cell, exactly.
 
-        With n(x), n(y) > 0 it reads n(x,z) n(y) = n(y,z) n(x,y).  That form
-        also covers n(x) = 0, where both sides vanish.  At n(y) = 0 the row
-        P(.|y) is zero, so the equation holds iff P(z|x) = 0.
-        """
-        xy, yz, xz = self._joint
-        n_y = self.y.masses[y]
-        n_xz = xz.get((x, z), 0)
-        if not n_y:
-            return not n_xz
-        return n_xz * n_y == yz.get((y, z), 0) * xy.get((x, y), 0)
+def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
+    """The mediator equation P(z|x) = P(z|y) P(y|x) at one cell, exactly.
+
+    With n(x), n(y) > 0 it reads n(x,z) n(y) = n(y,z) n(x,y).  That form
+    also covers n(x) = 0, where both sides vanish.  At n(y) = 0 the row
+    P(.|y) is zero, so the equation holds iff P(z|x) = 0.
+    """
+    return n_xz * n_y == n_yz * n_xy if n_y else not n_xz
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,7 @@ class MediatorFunction:
 
 def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
     cells = {(z, x) for z in t.z.alphabet for x in t.x.alphabet}
-    if set(h.table) != cells:
+    if h.table.keys() != cells:
         raise AlphabetMismatch("mediator table is not total on Z-alphabet x X-alphabet")
     y_labels = set(t.y.alphabet)
     for (z, x), y in h.table.items():
@@ -107,14 +120,43 @@ def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
 def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
     """True iff the defining equation holds at every cell, exactly."""
     _check_mediator_shape(t, h)
-    return all(t._holds(z, x, y) for (z, x), y in h.table.items())
+    xy, _, xz = t._joint
+    columns, n_y = t._tables[1], dict(t.y.masses)
+    for (z, x), y in h.table.items():
+        if not _holds(xz.get((x, z), 0), n_y[y], columns[z].get(y, 0), xy.get((x, y), 0)):
+            return False
+    return True
 
 
-def _candidates(t: Triple, z: Label, x: Label) -> Iterator[Label]:
-    """The candidate set C(z, x), lazily and in label order: x's support row
-    where n(x,z) > 0, the whole Y-alphabet otherwise."""
-    ys = t._rows[x] if t._joint[2].get((x, z)) else t.y.alphabet
-    return (y for y in ys if t._holds(z, x, y))
+def _walk(t: Triple, least: bool) -> Optional[Dict[Tuple[Label, Label], object]]:
+    """The candidate set C(z, x) of every cell, in label order: x's support
+    row where n(x,z) > 0, the whole Y-alphabet otherwise.  With ``least`` a
+    cell maps to its first candidate, where its walk stops, and the walk
+    gives ``None`` at the first cell without one."""
+    xy, _, xz = t._joint
+    rows, columns = t._tables
+    n_ys = t.y.masses.items()
+    cells: Dict[Tuple[Label, Label], object] = {}
+    for z, column in columns.items():
+        for x, row in rows.items():
+            found: List[Label] = []
+            n_xz = xz.get((x, z), 0)
+            if n_xz:
+                for y, n_y, n_xy in row:
+                    if _holds(n_xz, n_y, column.get(y, 0), n_xy):
+                        found.append(y)
+                        if least:
+                            break
+            else:
+                for y, n_y in n_ys:
+                    if _holds(0, n_y, column.get(y, 0), xy.get((x, y), 0)):
+                        found.append(y)
+                        if least:
+                            break
+            if least and not found:
+                return None
+            cells[z, x] = found[0] if least else found
+    return cells
 
 
 def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
@@ -123,7 +165,7 @@ def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
     For any x of zero mass both sides vanish for every y, so the whole
     Y-alphabet is a candidate set there.
     """
-    return {(z, x): list(_candidates(t, z, x)) for z in t.z.alphabet for x in t.x.alphabet}
+    return _walk(t, least=False)
 
 
 def find_mediator(t: Triple) -> Optional[MediatorFunction]:
@@ -135,14 +177,8 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
     labels where n(x,z) = 0.  The search stops at the first cell without a
     candidate.
     """
-    table: Dict[Tuple[Label, Label], Label] = {}
-    for z in t.z.alphabet:
-        for x in t.x.alphabet:
-            y = next(_candidates(t, z, x), None)
-            if y is None:
-                return None
-            table[(z, x)] = y
-    return MediatorFunction(table)
+    table = _walk(t, least=True)
+    return None if table is None else MediatorFunction(table)
 
 
 def is_markov_triangle(t: Triple) -> bool:
@@ -151,19 +187,15 @@ def is_markov_triangle(t: Triple) -> bool:
 
 def weak_functoriality_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     """I(X,Z) - I(X,Y) - I(Y,Z) + I(Y,Y); within 1e-9 of zero on Markov
-    triangles, and a useful diagnostic signal on arbitrary triples.  The
-    joint masses are the triple's cached ones; I(Y,Y) takes the masses of Y,
-    whose nonzero values are those of the (Y, Y) joint cells."""
+    triangles, and a useful diagnostic signal on arbitrary triples.  Each of
+    the six entropies is computed once and each I(A,B) is summed as
+    (H(A) + H(B)) - H(A,B), so the bits are those of the four public
+    ``mutual_information`` calls; the (Y, Y) joint masses are Y's."""
     log = _log_for_base(base)
     total = t.x.space.denominator
-    xy, yz, xz = (counts.values() for counts in t._joint)
-    x, y, z = (v.masses.values() for v in (t.x, t.y, t.z))
-    return (
-        _mutual_information(x, z, xz, total, log)
-        - _mutual_information(x, y, xy, total, log)
-        - _mutual_information(y, z, yz, total, log)
-        + _mutual_information(y, y, y, total, log)
-    )
+    h_x, h_y, h_z = (_entropy(v.masses.values(), total, log) for v in (t.x, t.y, t.z))
+    h_xy, h_yz, h_xz = (_entropy(counts.values(), total, log) for counts in t._joint)
+    return ((h_x + h_z) - h_xz) - ((h_x + h_y) - h_xy) - ((h_y + h_z) - h_yz) + ((h_y + h_y) - h_y)
 
 
 def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:

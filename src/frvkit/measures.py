@@ -146,18 +146,6 @@ def conditional_entropy(
     )
 
 
-def _mutual_information(
-    x: Iterable[int],
-    y: Iterable[int],
-    xy: Iterable[int],
-    total: int,
-    log: Callable[[float], float],
-) -> float:
-    """H(x) + H(y) - H(x, y) from the integer masses of x, y and their
-    joint cells, all over ``total``."""
-    return (_entropy(x, total, log) + _entropy(y, total, log)) - _entropy(xy, total, log)
-
-
 def mutual_information(
     x: FiniteRandomVariable, y: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
@@ -168,6 +156,6 @@ def mutual_information(
     value symmetric in its arguments to the last bit as well.
     """
     log = _log_for_base(base)
-    return _mutual_information(
-        x.masses.values(), y.masses.values(), joint_masses(x, y).values(), x.space.denominator, log
-    )
+    total = x.space.denominator
+    h_x, h_y = _entropy(x.masses.values(), total, log), _entropy(y.masses.values(), total, log)
+    return (h_x + h_y) - _entropy(joint_masses(x, y).values(), total, log)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,18 @@ def test_degenerate_fit_raises():
     pairs = [PairInstance(three_way, three_way)]
     with pytest.raises(DegenerateFit):
         characterization_probe(functional, pairs, tolerance=1e-6)
+
+
+def test_audit_reports_a_degenerate_fit_as_a_failed_probe():
+    # At a huge tolerance every check passes, and the probe's fit on the coin
+    # is 0.0 while H(Y|X) is not negligible elsewhere.
+    corpus = build_audit_corpus(7, 8)
+    result = audit(get_functional("conditional_entropy"), corpus=corpus, tolerance=1e300)
+    assert result.failed_axioms == () and not result.passed
+    probe = result.probe
+    assert probe.error.startswith("conditional_entropy: fit on the reference coin is 0.0 ")
+    assert math.isnan(probe.fitted_c) and math.isnan(probe.max_abs_deviation)
+    assert probe.instances == len(corpus.probe_pairs()) and not probe.passed
 
 
 def test_zero_functional_probe_is_not_degenerate(small_corpus):

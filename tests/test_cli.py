@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -419,6 +420,23 @@ def test_audit_rejects_bad_tolerances(capsys, option, value):
     )
     assert code == 2 and out == ""
     assert option in err
+
+
+def test_audit_with_a_huge_tolerance_fails_a_degenerate_probe(capsys):
+    # At --tol 1e300 every check passes, and conditional_entropy's fit on the
+    # coin is 0.0 while it is not negligible elsewhere: its probe fails.
+    code, out, err = run(
+        capsys, "audit", "--all", "--tol", "1e300", "--seed", "7", "--instances", "8"
+    )
+    assert code == 1 and err == ""
+    results = {entry["functional"]: entry for entry in json.loads(out)["results"]}
+    assert len(results) == 7
+    report = results["conditional_entropy"]
+    assert report["failed_axioms"] == [] and report["passed"] is False
+    probe = report["probe"]
+    assert probe["error"].startswith("conditional_entropy: fit on the reference coin is 0.0 ")
+    assert math.isnan(probe["max_abs_deviation"]) and probe["passed"] is False
+    assert results["mutual_information"]["passed"] is True
 
 
 def test_generate_rejects_a_negative_count(capsys):

@@ -135,11 +135,8 @@ def test_audit_and_generate_option_values_exit_0_1_or_2_without_a_traceback(tmp_
         argv, valid = _option_case(rng)
         code, _, err = run_cli(argv, tmp_path)
         assert code in exits and "Traceback" not in err, (case, argv, code, err)
-        # Bad option values exit 2.  Valid ones exit 0 or 1, except for a
-        # DegenerateFit: a huge --tol lets every check pass, and the probe
-        # then refuses a zero fit on the coin as a library error, which exits 2.
-        assert code == 2 or valid, (case, argv, code, err)
-        assert code != 2 or not valid or "fit on the reference coin" in err, (case, argv, err)
+        # Bad option values exit 2, and valid ones exit 0 or 1.
+        assert (code == 2) == (not valid), (case, argv, code, err)
         # generate never reports a failure.
         assert code != 1 or argv[0] == "audit", (case, argv)
         exits[code] += 1

@@ -37,7 +37,7 @@ from frvkit.generators import (
     random_triple,
     random_variable,
 )
-from oracles import brute_force_has_mediator, oracle_mediator_candidates
+from oracles import _equation, brute_force_has_mediator, oracle_mediator_candidates
 
 half = Fraction(1, 2)
 
@@ -277,20 +277,67 @@ def test_search_matches_dense_oracle_candidates_on_wide_alphabets():
     assert gaps == len(WIDE_SEEDS) and split == len(WIDE_SEEDS) // 4
 
 
-@pytest.mark.parametrize("base", [2.0, math.e, 10.0])
+def _residual_triple(seed):
+    """Seed ``seed`` of the residual sweep: a generated triangle of each
+    family in turn, or a random triple on a space that may carry zero-weight
+    outcomes."""
+    rng = random.Random(f"residual-bits/{seed}")
+    if seed % 2:
+        return generate_markov_triangle(rng.randrange(2**32), family="abcd"[seed // 2 % 4])
+    sizes = [rng.randint(1, 5) for _ in range(3)]
+    sp = random_space(rng, rng.randint(max(sizes), 10), allow_zero=True)
+    return Triple(*(
+        random_variable(rng, sp, size, prefix=prefix) for size, prefix in zip(sizes, "xyz")
+    ))
+
+
+@pytest.mark.parametrize("base", [2.0, math.e, 10.0, 3.0])
 def test_residuals_match_public_measures_bit_for_bit(base):
+    """The residuals against the same expressions built from the public
+    measures, to the bit: the wide sweep, generated triangles of every
+    family, and random triples on spaces with zero-weight outcomes."""
     def mi(a, b):
         return mutual_information(a, b, base)
 
     def ce(given, target):
         return conditional_entropy(given, target, base)
 
-    for seed in WIDE_SEEDS:
-        t = _wide_sweep_triple(seed)
+    triples = [_wide_sweep_triple(seed) for seed in WIDE_SEEDS]
+    triples += [_residual_triple(seed) for seed in range(160)]
+    for t in triples:
         weak = mi(t.x, t.z) - mi(t.x, t.y) - mi(t.y, t.z) + mi(t.y, t.y)
         chain = ce(t.x, t.z) - ce(t.y, t.z) - ce(t.x, t.y)
         assert weak_functoriality_residual(t, base).hex() == weak.hex()
         assert chain_rule_residual(t, base).hex() == chain.hex()
+    zero_weight = sum(not all(t.x.space.weights.values()) for t in triples[len(WIDE_SEEDS):])
+    off_triangle = sum(abs(weak_functoriality_residual(t)) > 1e-9 for t in triples)
+    assert zero_weight >= 40 and off_triangle >= 40
+
+
+def test_verify_mediator_agrees_with_the_oracle_equation_cell_by_cell():
+    """Over the sweep, a table of least candidates (a cell without one takes
+    the least label) with one cell moved to each other y: verify_mediator
+    holds iff the oracle's equation holds at every cell, which on a Markov
+    triangle is at the moved cell."""
+    outcomes = {True: 0, False: 0}
+    zero_mass = 0
+    for seed in range(240):
+        t = _sweep_triple(seed)
+        holds = _equation(t)
+        least = {
+            cell: ys[0] if ys else t.y.alphabet[0]
+            for cell, ys in oracle_mediator_candidates(t).items()
+        }
+        for cell, y0 in least.items():
+            for y in t.y.alphabet:
+                if y == y0:
+                    continue
+                table = {**least, cell: y}
+                expected = all(holds(z, x, v) for (z, x), v in table.items())
+                assert verify_mediator(t, MediatorFunction(table)) is expected, (seed, cell, y)
+                outcomes[expected] += 1
+        zero_mass += any(not m for v in (t.x, t.y, t.z) for m in v.masses.values())
+    assert min(outcomes.values()) >= 100 and zero_mass >= 10
 
 
 def test_residuals_reject_base_one():
