@@ -722,7 +722,8 @@ def audit(
         try:
             probe = characterization_probe(functional, pairs, probe_tolerance)
         except DegenerateFit as exc:
-            probe = ProbeReport(math.nan, math.nan, len(pairs), probe_tolerance, error=str(exc))
+            error = f"{type(exc).__name__}: {exc}"
+            probe = ProbeReport(math.nan, math.nan, len(pairs), probe_tolerance, error=error)
     return AuditResult(
         functional=functional.name,
         seed=corpus.seed,

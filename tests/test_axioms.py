@@ -131,7 +131,9 @@ def test_audit_reports_a_degenerate_fit_as_a_failed_probe():
     result = audit(get_functional("conditional_entropy"), corpus=corpus, tolerance=1e300)
     assert result.failed_axioms == () and not result.passed
     probe = result.probe
-    assert probe.error.startswith("conditional_entropy: fit on the reference coin is 0.0 ")
+    assert probe.error.startswith(
+        "DegenerateFit: conditional_entropy: fit on the reference coin is 0.0 "
+    )
     assert math.isnan(probe.fitted_c) and math.isnan(probe.max_abs_deviation)
     assert probe.instances == len(corpus.probe_pairs()) and not probe.passed
 

@@ -434,7 +434,9 @@ def test_audit_with_a_huge_tolerance_fails_a_degenerate_probe(capsys):
     report = results["conditional_entropy"]
     assert report["failed_axioms"] == [] and report["passed"] is False
     probe = report["probe"]
-    assert probe["error"].startswith("conditional_entropy: fit on the reference coin is 0.0 ")
+    assert probe["error"].startswith(
+        "DegenerateFit: conditional_entropy: fit on the reference coin is 0.0 "
+    )
     assert math.isnan(probe["max_abs_deviation"]) and probe["passed"] is False
     assert results["mutual_information"]["passed"] is True
 
