@@ -15,6 +15,15 @@ values are made only where the public API returns them.
 All values are immutable after construction and safe to share across
 threads.  Equality is structural, so two independently built copies of the
 same space count as "the same space" for joint constructions.
+
+The joint measures of one pair share one pass over its outcomes.  A private
+memo holds the integer counts of the last pair asked for, found by the
+identity of its two variables in either order, and those counts grouped
+into conditional rows by each side, each built on first use.  It keeps at
+most one pair alive.  It is replaced as one tuple, so a thread always reads
+a whole entry, and a row slot that two threads fill at once gets equal
+values from both.  :func:`joint_masses` still returns a fresh dict that the
+caller owns.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import AlphabetMismatch, DomainMismatch, NotAPmf
 from .labels import Label, Outcome, label_text, sort_labels
@@ -197,8 +206,19 @@ def joint_masses(
 ) -> Dict[Tuple[Label, Label], int]:
     """Integer joint masses over ``x.space.denominator`` of the cells that
     some outcome hits; cells no outcome hits are absent.  Requires a shared
-    sample space."""
-    if x.space != y.space:
+    sample space.  The dict is a fresh copy that the caller owns."""
+    memo = _pair(x, y)
+    if memo[0] is x:
+        return dict(memo[2])
+    return {(b, a): n for (a, b), n in memo[2].items()}
+
+
+def _count_joint(
+    x: FiniteRandomVariable, y: FiniteRandomVariable
+) -> Dict[Tuple[Label, Label], int]:
+    """One pass over the outcomes: the mass of every joint cell of (x, y)
+    that some outcome hits."""
+    if x.space is not y.space and x.space != y.space:
         raise DomainMismatch("joint table requires variables on the same space")
     counts: Dict[Tuple[Label, Label], int] = {}
     xs, ys = x.assignment, y.assignment
@@ -206,6 +226,47 @@ def joint_masses(
         cell = (xs[outcome], ys[outcome])
         counts[cell] = counts.get(cell, 0) + mass
     return counts
+
+
+# One slot holding the entry of the last pair counted: (x, y, counts keyed
+# (x-label, y-label), [rows grouped by x or None, rows grouped by y or None]).
+_last_pair: List[Optional[tuple]] = [None]
+
+
+def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
+    """The memo entry of the pair {x, y}: the last pair asked for, if that
+    was {x, y} in either order, else (x, y) counted now.  Its counts are
+    shared: read them, never change them."""
+    memo = _last_pair[0]
+    if memo is None or not (
+        (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
+    ):
+        memo = _last_pair[0] = (x, y, _count_joint(x, y), [None, None])
+    return memo
+
+
+def _pair_rows(given: FiniteRandomVariable, target: FiniteRandomVariable) -> Dict[Label, List[int]]:
+    """The joint counts of (given, target) grouped by the label of
+    ``given``, built on first use and kept in the memo."""
+    memo = _pair(given, target)
+    side = 0 if memo[0] is given else 1
+    slots = memo[3]
+    rows = slots[side]
+    if rows is None:
+        rows = slots[side] = _group_rows(memo[2], side, given.alphabet)
+    return rows
+
+
+def _group_rows(
+    counts: Mapping[Tuple[Label, Label], int], side: int, labels: Sequence[Label]
+) -> Dict[Label, List[int]]:
+    """The masses of ``counts`` grouped by the label at position ``side`` of
+    each cell key, one row per label in ``labels``, which must hold every
+    such label."""
+    rows: Dict[Label, List[int]] = {label: [] for label in labels}
+    for key, n in counts.items():
+        rows[key[side]].append(n)
+    return rows
 
 
 def canonical_product(x: FiniteRandomVariable, y: FiniteRandomVariable) -> FiniteRandomVariable:

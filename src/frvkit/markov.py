@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .core import FiniteRandomVariable, canonical_product
+from .core import FiniteRandomVariable, _group_rows, canonical_product
 from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
@@ -43,7 +43,8 @@ FAMILIES = ("a", "b", "c", "d")
 class Triple:
     """Three variables on one shared space, with integer tables over its
     denominator built once per triple: the joint masses n(x,y), n(y,z) and
-    n(x,z), the support row of every x and the column of every z."""
+    n(x,z), the support row of every x, the column of every z, and the
+    conditional rows of the chain rule."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -83,6 +84,14 @@ class Triple:
             columns[z][y] = n
         return rows, columns
 
+    @cached_property
+    def _conditional_rows(self) -> Tuple[Dict, Dict, Dict]:
+        """n(x,z) and n(x,y) grouped by x, and n(y,z) grouped by y: the rows
+        of the three conditional entropies of the chain rule."""
+        xy, yz, xz = self._joint
+        xs, ys = self.x.alphabet, self.y.alphabet
+        return _group_rows(xz, 0, xs), _group_rows(yz, 0, ys), _group_rows(xy, 0, xs)
+
 
 def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
     """The mediator equation P(z|x) = P(z|y) P(y|x) at one cell, exactly.
@@ -105,12 +114,17 @@ class MediatorFunction:
 
 
 def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
-    cells = {(z, x) for z in t.z.alphabet for x in t.x.alphabet}
-    if h.table.keys() != cells:
+    """Dict keys are unique, so |Z| |X| keys that are each a pair (z, x) of
+    the two alphabets' labels are exactly the cells of Z-alphabet x
+    X-alphabet; then each value must be a label of the middle variable."""
+    table, zs, xs, ys = h.table, t.z.masses, t.x.masses, t.y.masses
+    if len(table) != len(zs) * len(xs) or not all(
+        isinstance(key, tuple) and len(key) == 2 and key[0] in zs and key[1] in xs
+        for key in table
+    ):
         raise AlphabetMismatch("mediator table is not total on Z-alphabet x X-alphabet")
-    y_labels = set(t.y.alphabet)
-    for (z, x), y in h.table.items():
-        if y not in y_labels:
+    for (z, x), y in table.items():
+        if y not in ys:
             raise AlphabetMismatch(
                 f"mediator value {label_text(y)} at ({label_text(z)}, {label_text(x)}) "
                 "is not a label of the middle variable"
@@ -203,11 +217,11 @@ def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     over Markov triangles, so this vanishes there."""
     log = _log_for_base(base)
     total = t.x.space.denominator
-    xy, yz, xz = t._joint
+    z_given_x, z_given_y, y_given_x = t._conditional_rows
     return (
-        _conditional_entropy(xz, t.x.masses, total, log)
-        - _conditional_entropy(yz, t.y.masses, total, log)
-        - _conditional_entropy(xy, t.x.masses, total, log)
+        _conditional_entropy(z_given_x, t.x.masses, total, log)
+        - _conditional_entropy(z_given_y, t.y.masses, total, log)
+        - _conditional_entropy(y_given_x, t.x.masses, total, log)
     )
 
 

@@ -10,6 +10,12 @@ bit-identical across runs, under relabelings, and under transposition of a
 joint table.  The ``0 * log 0 = 0`` convention is applied by skipping exact
 zeros before any logarithm is taken, so no NaN can arise.
 
+The joint measures of a pair read one set of joint counts: the core's
+one-pair memo (see :mod:`frvkit.core`) counts a pair once, in either order,
+and groups those counts into the conditional rows of each side once.  Each
+row is summed in ascending order of mass, so the order in which the pair or
+the measures are asked for never changes a bit.
+
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
 """
@@ -19,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .core import ZERO, FiniteRandomVariable, _check_weights, joint_masses
+from .core import ZERO, FiniteRandomVariable, _check_weights, _pair, _pair_rows, joint_masses
 from .errors import InvalidBase, NotAPmf
 from .labels import Label
 
@@ -68,7 +74,7 @@ def joint_entropy(
     x: FiniteRandomVariable, y: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
     """Entropy of the joint distribution of ``(x, y)``."""
-    counts = joint_masses(x, y)
+    counts = _pair(x, y)[2]
     return _entropy(counts.values(), x.space.denominator, _log_for_base(base))
 
 
@@ -118,16 +124,14 @@ def conditional_kernel(
 
 
 def _conditional_entropy(
-    counts: Mapping[Tuple[Label, Label], int],
+    rows: Mapping[Label, Iterable[int]],
     given: Mapping[Label, int],
     total: int,
     log: Callable[[float], float],
 ) -> float:
-    """H(target | given) from the joint counts n(g, t) and the conditioning
-    masses n(g), both over ``total``."""
-    rows: Dict[Label, List[int]] = {}
-    for (x, _), n in counts.items():
-        rows.setdefault(x, []).append(n)
+    """H(target | given) from the joint counts n(g, t) grouped into one row
+    per conditioning label g, and the conditioning masses n(g), all over
+    ``total``."""
     acc = 0.0
     for x, mass in given.items():
         if mass:
@@ -142,7 +146,7 @@ def conditional_entropy(
     over the conditioning labels in label order."""
     log = _log_for_base(base)
     return _conditional_entropy(
-        joint_masses(given, target), given.masses, given.space.denominator, log
+        _pair_rows(given, target), given.masses, given.space.denominator, log
     )
 
 
@@ -158,4 +162,4 @@ def mutual_information(
     log = _log_for_base(base)
     total = x.space.denominator
     h_x, h_y = _entropy(x.masses.values(), total, log), _entropy(y.masses.values(), total, log)
-    return (h_x + h_y) - _entropy(joint_masses(x, y).values(), total, log)
+    return (h_x + h_y) - _entropy(_pair(x, y)[2].values(), total, log)

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,12 @@ from frvkit import (
     constant_variable,
     entropy,
     joint_entropy,
+    joint_masses,
+    joint_table,
     mutual_information,
 )
+from frvkit import core
+from frvkit.cli import main
 from frvkit.generators import random_pair
 
 # Frozen by direct evaluation of -sum p*log2(p) over the exact values.
@@ -205,3 +212,148 @@ def test_joint_entropy_equals_product_entropy(seed):
     x, y = random_pair(rng)
     gap = abs(joint_entropy(x, y) - entropy(canonical_product(x, y).pmf))
     assert gap <= 1e-12
+
+
+# -- the one-pair memo ----------------------------------------------------------
+
+MEMO_BASES = (2.0, 10.0, math.e, 3.0)
+MEMO_SEEDS = range(200)
+
+
+def _memo_calls(seed):
+    """Every joint measure of one pair, each order and the self-pairs, at a
+    base drawn from the seed: (function, side names, extra args)."""
+    base = (MEMO_BASES[seed % len(MEMO_BASES)],)
+    return [
+        (fn, sides, base)
+        for sides in ("xy", "yx", "xx", "yy")
+        for fn in (joint_entropy, conditional_entropy, mutual_information)
+    ] + [
+        (fn, sides, ())
+        for sides in ("xy", "yx")
+        for fn in (joint_masses, joint_table, conditional_kernel)
+    ]
+
+
+def _memo_pair(seed):
+    return random_pair(random.Random(seed), 6, 12)
+
+
+def _memo_call(pair, call):
+    fn, sides, args = call
+    value = fn(*(pair["xy".index(side)] for side in sides), *args)
+    return value.hex() if isinstance(value, float) else value
+
+
+def _memo_reference(seed):
+    """Each call's value on a freshly built pair, so that each is a first
+    call that no earlier call can have counted."""
+    return [_memo_call(_memo_pair(seed), call) for call in _memo_calls(seed)]
+
+
+def test_joint_measures_agree_whatever_order_they_are_called_in():
+    """Per pair the calls run in a shuffled order, so (y, x) often precedes
+    (x, y), and calls on other pairs are interleaved at random."""
+    rng = random.Random(16)
+    pairs = {seed: _memo_pair(seed) for seed in MEMO_SEEDS}
+    for seed in MEMO_SEEDS:
+        calls = list(enumerate(_memo_calls(seed)))
+        rng.shuffle(calls)
+        got = {}
+        for index, call in calls:
+            if rng.random() < 0.3:
+                other = rng.choice(MEMO_SEEDS)
+                _memo_call(pairs[other], rng.choice(_memo_calls(other)))
+            got[index] = _memo_call(pairs[seed], call)
+        assert [got[i] for i in range(len(calls))] == _memo_reference(seed), seed
+
+
+def test_mutating_returned_joint_masses_changes_no_later_measure():
+    x, y = correlated_pair()
+    h_xy = joint_entropy(x, y).hex()
+    for first, second in ((x, y), (y, x)):
+        counts = joint_masses(first, second)
+        expected = dict(counts)
+        counts.clear()
+        counts[("a1", "b1")] = 5
+        assert joint_masses(first, second) == expected
+        assert joint_entropy(x, y).hex() == h_xy
+        assert joint_entropy(y, x).hex() == h_xy
+
+
+def test_threads_on_distinct_pairs_agree_with_a_serial_run():
+    seeds = list(MEMO_SEEDS)
+    serial = {seed: _memo_reference(seed) for seed in seeds}
+    results, errors = {}, []
+
+    def work(part):
+        try:
+            for _ in range(3):
+                for seed in part:
+                    pair = _memo_pair(seed)
+                    results.setdefault(seed, []).append(
+                        [_memo_call(pair, call) for call in _memo_calls(seed)]
+                    )
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seeds[k::4],)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert results == {seed: [values] * 3 for seed, values in serial.items()}
+
+
+def _count_passes(monkeypatch):
+    """Count the passes over the outcomes from here on, with an empty memo."""
+    passes = []
+    count_joint = core._count_joint
+
+    def counted(x, y):
+        passes.append((x, y))
+        return count_joint(x, y)
+
+    core._last_pair[0] = None
+    monkeypatch.setattr(core, "_count_joint", counted)
+    return passes
+
+
+def test_compute_makes_one_pass_over_the_outcomes(monkeypatch, tmp_path, capsys):
+    passes = _count_passes(monkeypatch)
+    x, y = correlated_pair()
+    for base in MEMO_BASES:
+        joint_entropy(x, y, base)
+        conditional_entropy(x, y, base)
+        conditional_entropy(y, x, base)
+        mutual_information(x, y, base)
+    assert len(passes) == 1
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({
+        "version": 1,
+        "joint": {"rows": ["a", "b"], "cols": ["u", "v"], "cells": [["1/3", "1/6"], ["1/6", "1/3"]]},
+    }))
+    assert main(["compute", str(doc)]) == 0
+    capsys.readouterr()
+    assert len(passes) == 2
+
+
+def test_distinct_pairs_make_one_pass_each(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    pairs = [_memo_pair(seed) for seed in range(20)]
+    for functional in (mutual_information, joint_entropy, conditional_entropy):
+        for x, y in pairs:
+            functional(x, y)
+    assert len(passes) == 3 * len(pairs)
+    for x, y in pairs:
+        mutual_information(x, y)
+        conditional_entropy(y, x)
+        joint_entropy(y, x)
+    assert len(passes) == 4 * len(pairs)
