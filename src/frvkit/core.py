@@ -18,12 +18,11 @@ same space count as "the same space" for joint constructions.
 
 The joint measures of one pair share one pass over its outcomes.  A private
 memo holds the integer counts of the last pair asked for, found by the
-identity of its two variables in either order, and those counts grouped
-into conditional rows by each side, each built on first use.  It keeps at
-most one pair alive.  It is replaced as one tuple, so a thread always reads
-a whole entry, and a row slot that two threads fill at once gets equal
-values from both.  :func:`joint_masses` still returns a fresh dict that the
-caller owns.
+identity of its two variables in either order; a conditional entropy
+groups those counts into rows by the conditioning side when it asks.  The
+memo keeps at most one pair alive.  It is replaced as one tuple and never
+changed in place, so a thread always reads a whole entry.
+:func:`joint_masses` still returns a fresh dict that the caller owns.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ def _count_joint(
 
 
 # One slot holding the entry of the last pair counted: (x, y, counts keyed
-# (x-label, y-label), [rows grouped by x or None, rows grouped by y or None]).
+# (x-label, y-label)).
 _last_pair: List[Optional[tuple]] = [None]
 
 
@@ -241,20 +240,15 @@ def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
     if memo is None or not (
         (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
     ):
-        memo = _last_pair[0] = (x, y, _count_joint(x, y), [None, None])
+        memo = _last_pair[0] = (x, y, _count_joint(x, y))
     return memo
 
 
 def _pair_rows(given: FiniteRandomVariable, target: FiniteRandomVariable) -> Dict[Label, List[int]]:
     """The joint counts of (given, target) grouped by the label of
-    ``given``, built on first use and kept in the memo."""
+    ``given``."""
     memo = _pair(given, target)
-    side = 0 if memo[0] is given else 1
-    slots = memo[3]
-    rows = slots[side]
-    if rows is None:
-        rows = slots[side] = _group_rows(memo[2], side, given.alphabet)
-    return rows
+    return _group_rows(memo[2], 0 if memo[0] is given else 1, given.alphabet)
 
 
 def _group_rows(

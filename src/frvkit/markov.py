@@ -43,8 +43,7 @@ FAMILIES = ("a", "b", "c", "d")
 class Triple:
     """Three variables on one shared space, with integer tables over its
     denominator built once per triple: the joint masses n(x,y), n(y,z) and
-    n(x,z), the support row of every x, the column of every z, and the
-    conditional rows of the chain rule."""
+    n(x,z), the support row of every x and the column of every z."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -83,14 +82,6 @@ class Triple:
         for (y, z), n in yz.items():
             columns[z][y] = n
         return rows, columns
-
-    @cached_property
-    def _conditional_rows(self) -> Tuple[Dict, Dict, Dict]:
-        """n(x,z) and n(x,y) grouped by x, and n(y,z) grouped by y: the rows
-        of the three conditional entropies of the chain rule."""
-        xy, yz, xz = self._joint
-        xs, ys = self.x.alphabet, self.y.alphabet
-        return _group_rows(xz, 0, xs), _group_rows(yz, 0, ys), _group_rows(xy, 0, xs)
 
 
 def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
@@ -217,11 +208,12 @@ def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     over Markov triangles, so this vanishes there."""
     log = _log_for_base(base)
     total = t.x.space.denominator
-    z_given_x, z_given_y, y_given_x = t._conditional_rows
+    xy, yz, xz = t._joint
+    xs, ys = t.x.alphabet, t.y.alphabet
     return (
-        _conditional_entropy(z_given_x, t.x.masses, total, log)
-        - _conditional_entropy(z_given_y, t.y.masses, total, log)
-        - _conditional_entropy(y_given_x, t.x.masses, total, log)
+        _conditional_entropy(_group_rows(xz, 0, xs), t.x.masses, total, log)
+        - _conditional_entropy(_group_rows(yz, 0, ys), t.y.masses, total, log)
+        - _conditional_entropy(_group_rows(xy, 0, xs), t.x.masses, total, log)
     )
 
 

@@ -12,9 +12,9 @@ zeros before any logarithm is taken, so no NaN can arise.
 
 The joint measures of a pair read one set of joint counts: the core's
 one-pair memo (see :mod:`frvkit.core`) counts a pair once, in either order,
-and groups those counts into the conditional rows of each side once.  Each
-row is summed in ascending order of mass, so the order in which the pair or
-the measures are asked for never changes a bit.
+and a conditional entropy groups those counts into the rows of its
+conditioning side.  Each row is summed in ascending order of mass, so the
+order in which the pair or the measures are asked for never changes a bit.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
