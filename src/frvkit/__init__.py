@@ -29,11 +29,9 @@ from .core import (
     variable,
 )
 from .constructions import (
-    ConvergenceReport,
     PmfSequence,
     Relabeling,
     bijection,
-    check_weak_convergence,
     convex_sum,
     convex_sum_pairs,
     mixture_distribution,
@@ -42,7 +40,6 @@ from .constructions import (
 )
 from .errors import (
     AlphabetMismatch,
-    DegenerateFit,
     DocumentError,
     DomainMismatch,
     FrvError,
@@ -55,7 +52,6 @@ from .markov import (
     chain_rule_residual,
     find_mediator,
     generate_markov_triangle,
-    is_markov_triangle,
     mediator_candidates,
     verify_mediator,
     weak_functoriality_residual,

@@ -25,8 +25,8 @@ end below tolerance, which finite sampling can refute but never certify.
 A residual that is not finite (NaN or infinite) fails its check, and so
 does a functional that raises: the check keeps evaluating its corpus and
 records the first such instance, with the value or the exception, as its
-counterexample.  The probe likewise fails on a non-finite deviation or an
-exception.
+counterexample.  The probe likewise fails on a non-finite deviation, an
+exception or a degenerate fit.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .core import (
     space,
 )
 from .documents import instance_document, pmf_document, space_document
-from .errors import DegenerateFit
 from .generators import (
     random_mixture,
     random_pair,
@@ -415,10 +414,10 @@ def characterization_probe(
     """Fit the scale constant on a fair coin and compare F to that multiple
     of mutual information across the corpus.
 
-    Raises :class:`DegenerateFit` when the fit is indistinguishable from
-    zero while the functional is not: a zero fit explains nothing then.
-    A functional that raises fails the probe with NaN values and the
-    exception recorded in ``error``.
+    The probe fails with NaN values and a ``"TypeName: message"`` error
+    when the functional raises, and with a ``"DegenerateFit: ..."`` error
+    when the fit is indistinguishable from zero while the functional is
+    not: a zero fit explains nothing then.
     """
     f = _guarded(functional)
     coin = fair_coin()
@@ -428,10 +427,11 @@ def characterization_probe(
     except _FunctionalRaised as exc:
         return ProbeReport(math.nan, math.nan, len(instances), tolerance, error=str(exc))
     if abs(fitted_c) < tolerance and any(abs(v) > tolerance for v in values):
-        raise DegenerateFit(
-            f"{functional.name}: fit on the reference coin is {fitted_c!r} "
+        error = (
+            f"DegenerateFit: {functional.name}: fit on the reference coin is {fitted_c!r} "
             "but the functional is not identically negligible on the corpus"
         )
+        return ProbeReport(math.nan, math.nan, len(instances), tolerance, error=error)
     deviations = [
         abs(value - fitted_c * mutual_information(inst.x, inst.y))
         for inst, value in zip(instances, values)
@@ -510,7 +510,7 @@ def _drift_sequence(rate: Callable[[int], int], description: str) -> SequenceIns
         }
 
     return SequenceInstance(
-        sequence=PmfSequence(labels, generator, stabilization_index=1),
+        sequence=PmfSequence(labels, generator),
         limit=limit,
         description=description,
     )
@@ -556,7 +556,7 @@ def _random_sequence(rng: random.Random) -> SequenceInstance:
         return term
 
     return SequenceInstance(
-        sequence=PmfSequence(tuple(cells), generator, stabilization_index=1),
+        sequence=PmfSequence(tuple(cells), generator),
         limit=dict(limit),
         description="mass drift between two joint cells at rate 1/n",
     )
@@ -705,7 +705,7 @@ def audit(
 ) -> AuditResult:
     """Run all six checks on ``corpus``, by default ``build_audit_corpus()``;
     run the characterization probe only if they all pass (a failed axiom
-    already refutes the scale-fit hypothesis); a degenerate fit fails it."""
+    already refutes the scale-fit hypothesis)."""
     if corpus is None:
         corpus = build_audit_corpus()
     reports = (
@@ -718,12 +718,7 @@ def audit(
     )
     probe = None
     if all(r.passed for r in reports):
-        pairs = corpus.probe_pairs()
-        try:
-            probe = characterization_probe(functional, pairs, probe_tolerance)
-        except DegenerateFit as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            probe = ProbeReport(math.nan, math.nan, len(pairs), probe_tolerance, error=error)
+        probe = characterization_probe(functional, corpus.probe_pairs(), probe_tolerance)
     return AuditResult(
         functional=functional.name,
         seed=corpus.seed,

@@ -1,5 +1,5 @@
 """Convex structure on variables and pairs, push-forwards and relabelings,
-and weak-convergence probing.
+and the distribution sequences that the continuity check probes.
 
 A weighted convex sum of variables lives on the mixture space (tag, omega),
 the product of the weighted tag set with the components' common space, and
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
-from .core import FiniteRandomVariable, SampleSpace, _check_weights, canonical_pair, product_space
+from .core import FiniteRandomVariable, SampleSpace, _check_weights, product_space
 from .errors import AlphabetMismatch, DomainMismatch
 from .labels import Label, label_text, sort_labels
-from .measures import DEFAULT_BASE, entropy, mutual_information
 
 
 @dataclass(frozen=True)
@@ -180,21 +179,20 @@ def mixture_distribution(
 
 @dataclass(frozen=True)
 class PmfSequence:
-    """A sequence of distributions with an eventually constant alphabet.
+    """A sequence of distributions on one fixed alphabet, indexed from 1.
 
     ``generator(n)`` must be pure (same n, same distribution) and must
     return a distribution on exactly ``limit_alphabet`` for every
-    ``n >= stabilization_index``.  Pair sequences use pair labels; their
-    joint structure is recovered through the canonical coordinate variables.
+    ``n >= 1``.  Pair sequences use pair labels; their joint structure is
+    recovered through the canonical coordinate variables.
     """
 
     limit_alphabet: Tuple[Label, ...]
     generator: Callable[[int], Mapping[Label, Fraction]]
-    stabilization_index: int = 1
 
     def term(self, n: int) -> Dict[Label, Fraction]:
-        if n < self.stabilization_index:
-            raise ValueError(f"term index {n} below stabilization index {self.stabilization_index}")
+        if n < 1:
+            raise ValueError(f"term index {n} is below 1")
         got = dict(self.generator(n))
         if set(got) != set(self.limit_alphabet):
             raise AlphabetMismatch(
@@ -202,74 +200,3 @@ class PmfSequence:
             )
         _check_weights(got, "sequence probability")
         return got
-
-
-def _is_pair_alphabet(alphabet) -> bool:
-    return all(isinstance(lab, tuple) and len(lab) == 2 for lab in alphabet) and len(alphabet) > 0
-
-
-def _mi_of_joint(joint: Mapping[Label, Fraction], base: float) -> float:
-    first, second = canonical_pair(joint)
-    return mutual_information(first, second, base)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Finite-probe evidence for (or against) weak convergence.
-
-    A finite tool cannot verify a limit; this records the pointwise
-    deviation at the requested probe and at two geometric follow-ups, plus
-    the induced entropy gaps (and mutual-information gaps for pair
-    sequences).  ``passed`` means the deviation at the first probe is within
-    tolerance and the deviations do not grow along the schedule.
-    """
-
-    probes: Tuple[int, ...]
-    max_deviations: Tuple[float, ...]
-    entropy_gaps: Tuple[float, ...]
-    mi_gaps: Optional[Tuple[float, ...]]
-    tolerance: float
-    within_tolerance: bool
-    monotone: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.within_tolerance and self.monotone
-
-
-def check_weak_convergence(
-    sequence: PmfSequence,
-    limit: Mapping[Label, Fraction],
-    tol: float,
-    n_probe: int,
-    base: float = DEFAULT_BASE,
-) -> ConvergenceReport:
-    """Probe a sequence against its claimed limit at n_probe, 2 n_probe and
-    4 n_probe.  ``entropy`` checks the limit, and ``sequence.term`` each index."""
-    limit = dict(limit)
-    if set(limit) != set(sequence.limit_alphabet):
-        raise AlphabetMismatch("limit distribution alphabet differs from the sequence's")
-
-    pairs = _is_pair_alphabet(sequence.limit_alphabet)
-    limit_entropy = entropy(limit, base)
-    limit_mi = _mi_of_joint(limit, base) if pairs else None
-
-    probes = (n_probe, 2 * n_probe, 4 * n_probe)
-    deviations, entropy_gaps, mi_gaps = [], [], []
-    for n in probes:
-        term = sequence.term(n)
-        deviations.append(float(max(abs(term[lab] - limit[lab]) for lab in limit)))
-        entropy_gaps.append(abs(entropy(term, base) - limit_entropy))
-        if pairs:
-            mi_gaps.append(abs(_mi_of_joint(term, base) - limit_mi))
-
-    monotone = all(deviations[i + 1] <= deviations[i] for i in range(len(probes) - 1))
-    return ConvergenceReport(
-        probes=probes,
-        max_deviations=tuple(deviations),
-        entropy_gaps=tuple(entropy_gaps),
-        mi_gaps=tuple(mi_gaps) if pairs else None,
-        tolerance=tol,
-        within_tolerance=deviations[0] <= tol,
-        monotone=monotone,
-    )

@@ -25,11 +25,6 @@ class InvalidBase(FrvError):
     """Logarithm base must be a real number strictly greater than 1."""
 
 
-class DegenerateFit(FrvError):
-    """The scale constant fitted on the reference coin is indistinguishable
-    from zero while the functional is not identically zero on the corpus."""
-
-
 class DocumentError(FrvError):
     """An instance document failed to parse or validate.
 

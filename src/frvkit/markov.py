@@ -186,10 +186,6 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
     return None if table is None else MediatorFunction(table)
 
 
-def is_markov_triangle(t: Triple) -> bool:
-    return find_mediator(t) is not None
-
-
 def weak_functoriality_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     """I(X,Z) - I(X,Y) - I(Y,Z) + I(Y,Y); within 1e-9 of zero on Markov
     triangles, and a useful diagnostic signal on arbitrary triples.  Each of

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .core import ZERO, FiniteRandomVariable, _check_weights, _pair, _pair_rows, joint_masses
 from .errors import InvalidBase, NotAPmf
-from .labels import Label
+from .labels import Label, label_text
 
 DEFAULT_BASE = 2.0
 
@@ -84,7 +84,9 @@ class ConditionalKernel:
 
     ``rows[x][y]`` is the exact probability of ``y`` given ``x``.  Rows sum
     to 1 where the conditioning label has positive mass, and are identically
-    zero where it has zero mass (the zero-row convention).
+    zero where it has zero mass (the zero-row convention).  Every entry is a
+    ``Fraction``: a nonzero row is checked as a distribution, and a zero row
+    must hold exact zeros only.
     """
 
     given_alphabet: Tuple[Label, ...]
@@ -97,9 +99,10 @@ class ConditionalKernel:
         for given, row in self.rows.items():
             if set(row) != set(self.out_alphabet):
                 raise NotAPmf("kernel row does not cover the output alphabet")
-            row_sum = sum(row.values())
-            if row_sum not in (0, 1):
-                raise NotAPmf(f"row for {given!r} sums to {row_sum}, expected 0 or 1")
+            if any(row.values()):
+                _check_weights(row, f"kernel row {label_text(given)}: probability")
+            elif not all(isinstance(p, Fraction) for p in row.values()):
+                raise NotAPmf(f"kernel row {label_text(given)}: zeros must be Fractions")
 
     def prob(self, out: Label, given: Label) -> Fraction:
         return self.rows[given][out]

@@ -17,7 +17,6 @@ from frvkit import (
     canonical_pair,
     canonical_variable,
     characterization_probe,
-    check_weak_convergence,
     conditional_entropy,
     constant_variable,
     convex_sum_pairs,
@@ -34,6 +33,7 @@ from frvkit import (
     variable,
     verify_mediator,
 )
+from frvkit.axioms import CONTINUITY_PROBES
 from frvkit.cli import main as cli_main
 from frvkit.documents import serialize_document
 from frvkit.generators import (
@@ -246,16 +246,21 @@ def test_criterion_08_continuity_probing():
     for n in (10**2, 10**4, 10**6):
         term = canonical_pair(generator(n))
         gaps.append(abs(mutual_information(*term)))
-    sequence = PmfSequence(labels, generator, stabilization_index=1)
-    convergence = check_weak_convergence(
-        sequence, {lab: quarter for lab in labels}, tol=1e-2, n_probe=10**2
+    sequence = PmfSequence(labels, generator)
+    deviations = [
+        float(max(abs(sequence.term(n)[lab] - quarter) for lab in labels))
+        for n in CONTINUITY_PROBES
+    ]
+    converges = (
+        all(a > b for a, b in zip(deviations, deviations[1:])) and deviations[-1] <= 1e-9
     )
-    ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-6 and convergence.passed
+    ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-6 and converges
     report(
         8,
         ok,
         f"|I_n| at n=1e2,1e4,1e6: {gaps[0]:.3e} > {gaps[1]:.3e} > {gaps[2]:.3e} "
-        f"(<= 1e-6 at 1e6)",
+        f"(<= 1e-6 at 1e6); max pmf deviation at the continuity probes shrinks "
+        f"to {deviations[-1]:.1e}",
     )
 
 

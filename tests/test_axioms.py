@@ -6,7 +6,6 @@ import pytest
 
 from frvkit import (
     CandidateFunctional,
-    DegenerateFit,
     Triple,
     audit,
     build_audit_corpus,
@@ -110,7 +109,7 @@ def test_probe_rejects_contaminated_information(small_corpus):
     assert not report.passed
 
 
-def test_degenerate_fit_raises():
+def test_degenerate_fit_is_a_failed_probe():
     # zero on the reference coin but far from zero elsewhere
     functional = CandidateFunctional(
         "step_above_one_bit",
@@ -120,8 +119,12 @@ def test_degenerate_fit_raises():
         {"a": Fraction(1, 3), "b": Fraction(1, 3), "c": Fraction(1, 3)}
     )
     pairs = [PairInstance(three_way, three_way)]
-    with pytest.raises(DegenerateFit):
-        characterization_probe(functional, pairs, tolerance=1e-6)
+    report = characterization_probe(functional, pairs, tolerance=1e-6)
+    assert report.error.startswith(
+        "DegenerateFit: step_above_one_bit: fit on the reference coin is 0.0 "
+    )
+    assert math.isnan(report.fitted_c) and math.isnan(report.max_abs_deviation)
+    assert report.instances == 1 and report.passed is False
 
 
 def test_audit_reports_a_degenerate_fit_as_a_failed_probe():

@@ -12,7 +12,6 @@ from frvkit import (
     PmfSequence,
     bijection,
     canonical_product,
-    check_weak_convergence,
     constant_variable,
     convex_sum,
     convex_sum_pairs,
@@ -212,62 +211,14 @@ def test_mixture_distribution_matches_variable_level(coin_space, coin):
     assert dist == mixed.pmf
 
 
-def constant_sequence(dist):
-    labels = tuple(dist)
-    return PmfSequence(labels, lambda n: dict(dist), stabilization_index=1)
-
-
-def test_weak_convergence_constant_sequence():
-    dist = {"a": half, "b": half}
-    report = check_weak_convergence(constant_sequence(dist), dist, tol=1e-12, n_probe=10)
-    assert report.max_deviations == (0.0, 0.0, 0.0)
-    assert report.passed
-
-
-def test_weak_convergence_shrinking_deviation():
-    def gen(n):
-        delta = Fraction(1, n + 2)
-        return {"a": half + delta, "b": half - delta}
-
-    seq = PmfSequence(("a", "b"), gen, stabilization_index=1)
-    limit = {"a": half, "b": half}
-    report = check_weak_convergence(seq, limit, tol=1e-2, n_probe=1000)
-    assert report.max_deviations[0] == pytest.approx(1 / 1002, abs=1e-18)
-    assert report.monotone and report.within_tolerance
-    assert report.entropy_gaps[0] < 1e-5
-    assert report.mi_gaps is None
-
-
-def test_weak_convergence_pair_sequence_tracks_information():
-    labels = (("r1", "c1"), ("r1", "c2"), ("r2", "c1"), ("r2", "c2"))
-
-    def gen(n):
-        delta = Fraction(1, 4 * n)
-        return {
-            ("r1", "c1"): quarter + delta,
-            ("r1", "c2"): quarter - delta,
-            ("r2", "c1"): quarter - delta,
-            ("r2", "c2"): quarter + delta,
-        }
-
-    seq = PmfSequence(labels, gen, stabilization_index=1)
-    limit = {lab: quarter for lab in labels}
-    report = check_weak_convergence(seq, limit, tol=1e-3, n_probe=10**4)
-    assert report.mi_gaps is not None
-    assert report.mi_gaps[0] <= 1e-6
-    assert report.passed
-
-
-def test_weak_convergence_rejects_alphabet_drift():
-    def gen(n):
-        return {"a": Fraction(1)}
-
-    seq = PmfSequence(("a",), gen, stabilization_index=1)
+def test_sequence_term_rejects_alphabet_drift():
+    seq = PmfSequence(("a", "b"), lambda n: {"a": Fraction(1)})
     with pytest.raises(AlphabetMismatch):
-        check_weak_convergence(seq, {"a": half, "b": half}, tol=1e-3, n_probe=10)
+        seq.term(1)
 
 
-def test_weak_convergence_probe_below_stabilization_index():
-    seq = constant_sequence({"a": Fraction(1)})
+def test_sequence_term_rejects_index_below_one():
+    seq = PmfSequence(("a",), lambda n: {"a": Fraction(1)})
+    assert seq.term(1) == {"a": Fraction(1)}
     with pytest.raises(ValueError):
-        check_weak_convergence(seq, {"a": Fraction(1)}, tol=1e-3, n_probe=0)
+        seq.term(0)

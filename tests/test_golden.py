@@ -106,10 +106,3 @@ def test_corpus_documents_identical(instances):
     golden = json.loads((GOLDEN / "corpus.json").read_text())
     expected = {key: value for key, value in golden.items() if key.endswith(f"/{instances}")}
     assert corpus_digests(instances) == expected
-
-
-@pytest.mark.parametrize("instances", CORPUS_SIZES)
-def test_corpus_documents_identical(instances):
-    golden = json.loads((GOLDEN / "corpus.json").read_text())
-    expected = {key: value for key, value in golden.items() if key.endswith(f"/{instances}")}
-    assert corpus_digests(instances) == expected

@@ -20,7 +20,6 @@ from frvkit import (
     constant_variable,
     find_mediator,
     generate_markov_triangle,
-    is_markov_triangle,
     mediator_candidates,
     mutual_information,
     relabel,
@@ -440,7 +439,7 @@ def test_generation_is_deterministic_per_seed():
 
 def test_rejection_mode_finds_accidental_triangles():
     t = generate_markov_triangle(5, rejection=True)
-    assert is_markov_triangle(t)
+    assert find_mediator(t) is not None
 
 
 def test_generator_rejects_unknown_family():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frvkit import (
+    ConditionalKernel,
     DomainMismatch,
     InvalidBase,
     NotAPmf,
@@ -129,6 +131,23 @@ def test_conditional_kernel_zero_row():
     x, y = canonical_pair({("a1", "b1"): Fraction(1), ("a2", "b1"): Fraction(0)})
     kernel = conditional_kernel(x, y)
     assert kernel.row("a2") == {"b1": Fraction(0)}
+
+
+@pytest.mark.parametrize(
+    "given_alphabet, rows, message",
+    [
+        (("a", "b"), {"a": {"u": half, "v": half}}, "do not cover the conditioning"),
+        (("a",), {"a": {"u": Fraction(1)}}, "does not cover the output"),
+        (("a",), {"a": {"u": quarter, "v": quarter}}, "sum is 1/2, expected exactly 1"),
+        (("a",), {"a": {"u": Fraction(2), "v": Fraction(-1)}}, "outside [0, 1]"),
+        (("a",), {"a": {"u": 0.5, "v": 0.5}}, "expected Fraction, got float"),
+        (("a",), {"a": {"u": 0.0, "v": 0.0}}, "zeros must be Fractions"),
+    ],
+    ids=["missing-row", "missing-label", "half-sum", "negative", "float", "float-zero-row"],
+)
+def test_conditional_kernel_rejects_malformed_rows(given_alphabet, rows, message):
+    with pytest.raises(NotAPmf, match=re.escape(message)):
+        ConditionalKernel(given_alphabet, ("u", "v"), rows)
 
 
 def test_conditional_entropy_of_self_is_zero(three_point):
