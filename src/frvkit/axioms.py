@@ -62,7 +62,7 @@ from .generators import (
 )
 from .labels import Label, encode_label, label_key, sort_labels
 from .markov import Triple, generate_markov_triangle
-from .measures import conditional_entropy, entropy, joint_entropy, mutual_information
+from .measures import _entropy, conditional_entropy, joint_entropy, mutual_information
 
 IDENTITY_TOLERANCE = 1e-9
 PROBE_TOLERANCE = 1e-6
@@ -735,7 +735,8 @@ def audit(
 
 
 def _space_weight_entropy(x: FiniteRandomVariable, y: FiniteRandomVariable) -> float:
-    return entropy(dict(x.space.weights))
+    # The space checked its weights when it was built; read its masses.
+    return _entropy(x.space.masses.values(), x.space.denominator, math.log2)
 
 
 def builtin_functionals() -> Tuple[CandidateFunctional, ...]:

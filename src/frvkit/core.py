@@ -16,23 +16,32 @@ All values are immutable after construction and safe to share across
 threads.  Equality is structural, so two independently built copies of the
 same space count as "the same space" for joint constructions.
 
+Each entropy is computed once per distribution and base.  A variable keeps
+a private dict of H(X) per base, and ``x.pmf`` is a read-only view over its
+integer masses that makes each ``Fraction`` only when that value is read,
+so the entropy layer can recognise it and read the variable's dict instead
+of checking the weights again.
+
 The joint measures of one pair share one pass over its outcomes.  A private
-memo holds the integer counts of the last pair asked for, found by the
-identity of its two variables in either order; a conditional entropy
-groups those counts into rows by the conditioning side when it asks.  The
-memo keeps at most one pair alive.  It is replaced as one tuple and never
-changed in place, so a thread always reads a whole entry.
+memo holds the entry of the last pair asked for, found by the identity of
+its two variables in either order: the pair, its integer counts and a dict
+of H(X,Y) per base.  A conditional entropy groups those counts into rows by
+the conditioning side when it asks.  The memo keeps at most one pair alive.
+An entry is replaced as one tuple and its counts are never changed in
+place, so a thread always reads a whole entry; its entropy dict is filled
+once per base, and whichever thread fills it stores the same float.
 :func:`joint_masses` still returns a fresh dict that the caller owns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import AlphabetMismatch, DomainMismatch, NotAPmf
 from .labels import Label, Outcome, label_text, sort_labels
@@ -109,6 +118,11 @@ class FiniteRandomVariable:
 
     space: SampleSpace
     assignment: Dict[Outcome, Label]
+    # H(self) per log base, filled by frvkit.measures.  A field rather than a
+    # cached_property, whose first read takes a lock on Python 3.11.
+    _entropies: Dict[float, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.assignment.keys() != self.space.masses.keys():
@@ -132,12 +146,11 @@ class FiniteRandomVariable:
     def pmf(self) -> Mapping[Label, Fraction]:
         """Exact probability mass function: label -> total preimage weight.
 
-        Returned read-only; take ``dict(x.pmf)`` for a mutable copy.
+        A read-only view in alphabet order over ``masses`` and
+        ``space.denominator``; each ``Fraction`` is made when it is read.
+        Take ``dict(x.pmf)`` for a mutable copy.
         """
-        denominator = self.space.denominator
-        return MappingProxyType(
-            {x: Fraction(n, denominator) for x, n in self.masses.items()}
-        )
+        return _PmfView(self)
 
     def __call__(self, outcome: Outcome) -> Label:
         return self.assignment[outcome]
@@ -147,6 +160,31 @@ class FiniteRandomVariable:
 
     def __repr__(self):
         return f"FiniteRandomVariable(alphabet={[label_text(x) for x in self.alphabet]})"
+
+
+class _PmfView(Mapping):
+    """The pmf of one variable: ``Fraction(x.masses[label],
+    x.space.denominator)`` per label of its alphabet, in alphabet order."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x: FiniteRandomVariable):
+        self._x = x
+
+    def __getitem__(self, label: Label) -> Fraction:
+        return Fraction(self._x.masses[label], self._x.space.denominator)
+
+    def __iter__(self) -> Iterator[Label]:
+        return iter(self._x.masses)
+
+    def __len__(self) -> int:
+        return len(self._x.masses)
+
+    def __contains__(self, label) -> bool:
+        return label in self._x.masses
+
+    def __repr__(self):
+        return f"pmf({dict(self)!r})"
 
 
 def variable(sp: SampleSpace, assignment: Mapping[Outcome, Label]) -> FiniteRandomVariable:
@@ -228,7 +266,7 @@ def _count_joint(
 
 
 # One slot holding the entry of the last pair counted: (x, y, counts keyed
-# (x-label, y-label)).
+# (x-label, y-label), H(X,Y) per log base).
 _last_pair: List[Optional[tuple]] = [None]
 
 
@@ -240,7 +278,7 @@ def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
     if memo is None or not (
         (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
     ):
-        memo = _last_pair[0] = (x, y, _count_joint(x, y))
+        memo = _last_pair[0] = (x, y, _count_joint(x, y), {})
     return memo
 
 

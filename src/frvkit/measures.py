@@ -10,11 +10,21 @@ bit-identical across runs, under relabelings, and under transposition of a
 joint table.  The ``0 * log 0 = 0`` convention is applied by skipping exact
 zeros before any logarithm is taken, so no NaN can arise.
 
-The joint measures of a pair read one set of joint counts: the core's
-one-pair memo (see :mod:`frvkit.core`) counts a pair once, in either order,
-and a conditional entropy groups those counts into the rows of its
-conditioning side.  Each row is summed in ascending order of mass, so the
-order in which the pair or the measures are asked for never changes a bit.
+Each entropy is computed once per distribution and base.  H(X) is kept by
+the variable and H(X,Y) by the core's one-pair memo (see
+:mod:`frvkit.core`), keyed by the value of ``base`` once it has been
+accepted; ``entropy``, ``joint_entropy`` and ``mutual_information`` read
+them.  ``entropy`` of a variable's ``pmf`` view takes H(X) from the
+variable without checking its weights again, since the space checked them
+when it was built; any other mapping is checked as a distribution first.
+The view's masses are the check's masses scaled by one integer, so each
+term, the mass order and the sum are the same floats either way.
+
+The joint measures of a pair read one set of joint counts: the memo counts
+a pair once, in either order, and a conditional entropy groups those
+counts into the rows of its conditioning side.  Each row is summed in
+ascending order of mass, so the order in which the pair or the measures
+are asked for never changes a bit.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
@@ -27,7 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .core import ZERO, FiniteRandomVariable, _check_weights, _pair, _pair_rows, joint_masses
+from .core import (
+    ZERO,
+    FiniteRandomVariable,
+    _check_weights,
+    _pair,
+    _pair_rows,
+    _PmfView,
+    joint_masses,
+)
 from .errors import InvalidBase, NotAPmf
 from .labels import Label, label_text
 
@@ -61,11 +79,31 @@ def _entropy(masses: Iterable[int], total: int, log: Callable[[float], float]) -
     return 0.0 - acc
 
 
+def _kept_entropy(
+    kept: Dict[float, float],
+    base: float,
+    masses: Mapping[object, int],
+    total: int,
+    log: Callable[[float], float],
+) -> float:
+    """The entropy of ``masses`` over ``total`` at ``base``, read from
+    ``kept`` or computed and stored there; ``base`` must already have been
+    accepted by :func:`_log_for_base`."""
+    value = kept.get(base)
+    if value is None:
+        value = kept[base] = _entropy(masses.values(), total, log)
+    return value
+
+
 def entropy(distribution: Mapping[Label, Fraction], base: float = DEFAULT_BASE) -> float:
     """Shannon entropy -sum p log(p) of an exact distribution, in units of
     log ``base``.  Always >= 0; exactly 0.0 for a point mass.  The values
-    must be ``Fraction``s summing to exactly 1."""
+    must be ``Fraction``s summing to exactly 1; a variable's ``pmf`` is
+    known to be one and is not checked again."""
     log = _log_for_base(base)
+    if type(distribution) is _PmfView:
+        x = distribution._x
+        return _kept_entropy(x._entropies, base, x.masses, x.space.denominator, log)
     denominator, masses = _check_weights(distribution, "probability")
     return _entropy(masses.values(), denominator, log)
 
@@ -74,8 +112,9 @@ def joint_entropy(
     x: FiniteRandomVariable, y: FiniteRandomVariable, base: float = DEFAULT_BASE
 ) -> float:
     """Entropy of the joint distribution of ``(x, y)``."""
-    counts = _pair(x, y)[2]
-    return _entropy(counts.values(), x.space.denominator, _log_for_base(base))
+    memo = _pair(x, y)
+    log = _log_for_base(base)
+    return _kept_entropy(memo[3], base, memo[2], x.space.denominator, log)
 
 
 @dataclass(frozen=True)
@@ -163,6 +202,8 @@ def mutual_information(
     value symmetric in its arguments to the last bit as well.
     """
     log = _log_for_base(base)
+    memo = _pair(x, y)
     total = x.space.denominator
-    h_x, h_y = _entropy(x.masses.values(), total, log), _entropy(y.masses.values(), total, log)
-    return (h_x + h_y) - _entropy(_pair(x, y)[2].values(), total, log)
+    h_x = _kept_entropy(x._entropies, base, x.masses, total, log)
+    h_y = _kept_entropy(y._entropies, base, y.masses, total, log)
+    return (h_x + h_y) - _kept_entropy(memo[3], base, memo[2], total, log)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from frvkit.axioms import (
     PullbackInstance,
     VacuityInstance,
 )
-from frvkit.generators import random_bijection, random_mixture, random_pair
+from frvkit.generators import random_bijection, random_mixture, random_pair, random_space
 
 half = Fraction(1, 2)
 
@@ -515,3 +516,14 @@ def test_vacuity_residual_grouping_and_call_order():
     report = check_vacuity(candidate, [VacuityInstance(known["X"], known["C"])], 1e-9)
     assert report.max_residual.hex() == (0.1).hex()
     assert calls == [("X", "C")]
+
+
+def test_space_weight_entropy_matches_entropy_of_the_weights_bit_for_bit():
+    """The functional reads the space's checked masses; its value is that of
+    ``entropy`` over a fresh copy of the weights, which checks them again."""
+    fn = get_functional("space_weight_entropy").fn
+    for seed in range(240):
+        rng = random.Random(seed)
+        sp = random_space(rng, rng.randint(1, 16), allow_zero=seed % 2 == 1)
+        x = constant_variable(sp)
+        assert fn(x, x).hex() == entropy(dict(sp.weights)).hex(), seed

@@ -25,10 +25,11 @@ from frvkit import (
     joint_masses,
     joint_table,
     mutual_information,
+    pmf,
 )
 from frvkit import core
 from frvkit.cli import main
-from frvkit.generators import random_pair
+from frvkit.generators import random_pair, random_space, random_variable
 
 # Frozen by direct evaluation of -sum p*log2(p) over the exact values.
 H_THIRD_SIXTH_HALF = 1.4591479170272448
@@ -376,3 +377,99 @@ def test_distinct_pairs_make_one_pass_each(monkeypatch):
         conditional_entropy(y, x)
         joint_entropy(y, x)
     assert len(passes) == 4 * len(pairs)
+
+
+# -- kept entropies and the pmf view -----------------------------------------------
+
+KEPT_BASES = (2, 2.0, 10.0, math.e, 3.0)
+KEPT_MEASURES = (
+    lambda x, y, base: entropy(x.pmf, base),
+    lambda x, y, base: entropy(y.pmf, base),
+    joint_entropy,
+    mutual_information,
+    conditional_entropy,
+    lambda x, y, base: conditional_entropy(y, x, base),
+)
+KEPT_CALLS = [(fn, base) for fn in KEPT_MEASURES for base in KEPT_BASES]
+
+
+def _plain_values(x, y):
+    """H(X), H(Y), H(X,Y) and I(X,Y), each at every base of KEPT_BASES, from
+    plain mappings that no kept entropy can serve: the first four measures
+    of KEPT_CALLS, in its order."""
+    h_x = [entropy(dict(x.pmf), base) for base in KEPT_BASES]
+    h_y = [entropy(dict(y.pmf), base) for base in KEPT_BASES]
+    h_xy = [entropy(joint_table(x, y).as_pmf(), base) for base in KEPT_BASES]
+    i_xy = [(a + b) - c for a, b, c in zip(h_x, h_y, h_xy)]
+    return [h.hex() for h in h_x + h_y + h_xy + i_xy]
+
+
+def test_kept_entropies_agree_whatever_order_or_base_they_are_asked_in():
+    """Every measure at every base on one pair object, the bases mixed and
+    the calls shuffled, calls on other pairs interleaved at random; each
+    value must be that of a first call on a freshly built pair."""
+    rng = random.Random(18)
+    pairs = {seed: _memo_pair(seed) for seed in MEMO_SEEDS}
+    for seed in MEMO_SEEDS:
+        calls = list(enumerate(KEPT_CALLS))
+        rng.shuffle(calls)
+        got = {}
+        for index, (fn, base) in calls:
+            if rng.random() < 0.3:
+                other_fn, other_base = rng.choice(KEPT_CALLS)
+                other_fn(*pairs[rng.choice(MEMO_SEEDS)], other_base)
+            got[index] = fn(*pairs[seed], base).hex()
+        fresh = [fn(*_memo_pair(seed), base).hex() for fn, base in KEPT_CALLS]
+        assert [got[i] for i in range(len(calls))] == fresh, seed
+        plain = _plain_values(*pairs[seed])
+        assert fresh[: len(plain)] == plain, seed
+        for fn in KEPT_MEASURES:
+            for base in (1, 0.5, -2, math.nan):
+                with pytest.raises(InvalidBase):
+                    fn(*pairs[seed], base)
+
+
+def _view_variables():
+    """Seeded variables, some with zero-mass labels."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        sp = random_space(rng, rng.randint(1, 10), allow_zero=seed % 2 == 1)
+        yield random_variable(rng, sp, rng.randint(1, len(sp.outcomes)))
+
+
+def test_pmf_is_a_read_only_view_in_alphabet_order():
+    for x in _view_variables():
+        view = x.pmf
+        assert view == dict(view) == pmf(x)
+        assert list(view) == list(x.alphabet) == list(dict(view))
+        assert len(view) == len(x.alphabet)
+        assert all(view[a] == Fraction(x.masses[a], x.space.denominator) for a in x.alphabet)
+        assert "no such label" not in view
+        with pytest.raises(KeyError):
+            view["no such label"]
+        with pytest.raises(TypeError):
+            view[x.alphabet[0]] = Fraction(1)
+
+
+def test_entropy_of_the_pmf_view_is_that_of_a_copy_and_outlives_changes_to_it():
+    for x in _view_variables():
+        before = [entropy(x.pmf, base).hex() for base in KEPT_BASES]
+        assert before == [entropy(dict(x.pmf), base).hex() for base in KEPT_BASES]
+        copy = dict(x.pmf)
+        for label in copy:
+            copy[label] = Fraction(0)
+        copy["extra"] = Fraction(1)
+        assert entropy(copy) == 0.0
+        assert [entropy(x.pmf, base).hex() for base in KEPT_BASES] == before
+        assert x.pmf == pmf(x) != copy
+
+
+def test_entropy_still_checks_every_plain_mapping():
+    x = correlated_pair()[0]
+    copy = dict(x.pmf)
+    for label, bad in (("a1", 0.5), ("a2", Fraction(-1, 2)), ("a2", Fraction(0))):
+        distribution = dict(copy)
+        distribution[label] = bad
+        with pytest.raises(NotAPmf):
+            entropy(distribution)
+    assert copy == {"a1": half, "a2": half}
