@@ -22,15 +22,11 @@ integer masses that makes each ``Fraction`` only when that value is read,
 so the entropy layer can recognise it and read the variable's dict instead
 of checking the weights again.
 
-The joint measures of one pair share one pass over its outcomes.  A private
-memo holds the entry of the last pair asked for, found by the identity of
-its two variables in either order: the pair, its integer counts and a dict
-of H(X,Y) per base.  A conditional entropy groups those counts into rows by
-the conditioning side when it asks.  The memo keeps at most one pair alive.
-An entry is replaced as one tuple and its counts are never changed in
-place, so a thread always reads a whole entry; its entropy dict is filled
-once per base, and whichever thread fills it stores the same float.
-:func:`joint_masses` still returns a fresh dict that the caller owns.
+:func:`joint_masses` is the one pass over the outcomes that counts a joint
+table.  It keeps nothing: each call counts afresh and returns a dict that
+the caller owns.  The entropy layer keeps the counts of the last pair it
+was asked about (see :mod:`frvkit.measures`), and a Markov triple keeps
+those of its three pairs (see :mod:`frvkit.markov`).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import AlphabetMismatch, DomainMismatch, NotAPmf
 from .labels import Label, Outcome, label_text, sort_labels
@@ -242,19 +238,9 @@ def joint_masses(
     x: FiniteRandomVariable, y: FiniteRandomVariable
 ) -> Dict[Tuple[Label, Label], int]:
     """Integer joint masses over ``x.space.denominator`` of the cells that
-    some outcome hits; cells no outcome hits are absent.  Requires a shared
-    sample space.  The dict is a fresh copy that the caller owns."""
-    memo = _pair(x, y)
-    if memo[0] is x:
-        return dict(memo[2])
-    return {(b, a): n for (a, b), n in memo[2].items()}
-
-
-def _count_joint(
-    x: FiniteRandomVariable, y: FiniteRandomVariable
-) -> Dict[Tuple[Label, Label], int]:
-    """One pass over the outcomes: the mass of every joint cell of (x, y)
-    that some outcome hits."""
+    some outcome hits, counted in one pass over the outcomes; cells no
+    outcome hits are absent.  Requires a shared sample space.  The dict is
+    fresh and the caller owns it."""
     if x.space is not y.space and x.space != y.space:
         raise DomainMismatch("joint table requires variables on the same space")
     counts: Dict[Tuple[Label, Label], int] = {}
@@ -263,42 +249,6 @@ def _count_joint(
         cell = (xs[outcome], ys[outcome])
         counts[cell] = counts.get(cell, 0) + mass
     return counts
-
-
-# One slot holding the entry of the last pair counted: (x, y, counts keyed
-# (x-label, y-label), H(X,Y) per log base).
-_last_pair: List[Optional[tuple]] = [None]
-
-
-def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
-    """The memo entry of the pair {x, y}: the last pair asked for, if that
-    was {x, y} in either order, else (x, y) counted now.  Its counts are
-    shared: read them, never change them."""
-    memo = _last_pair[0]
-    if memo is None or not (
-        (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
-    ):
-        memo = _last_pair[0] = (x, y, _count_joint(x, y), {})
-    return memo
-
-
-def _pair_rows(given: FiniteRandomVariable, target: FiniteRandomVariable) -> Dict[Label, List[int]]:
-    """The joint counts of (given, target) grouped by the label of
-    ``given``."""
-    memo = _pair(given, target)
-    return _group_rows(memo[2], 0 if memo[0] is given else 1, given.alphabet)
-
-
-def _group_rows(
-    counts: Mapping[Tuple[Label, Label], int], side: int, labels: Sequence[Label]
-) -> Dict[Label, List[int]]:
-    """The masses of ``counts`` grouped by the label at position ``side`` of
-    each cell key, one row per label in ``labels``, which must hold every
-    such label."""
-    rows: Dict[Label, List[int]] = {label: [] for label in labels}
-    for key, n in counts.items():
-        rows[key[side]].append(n)
-    return rows
 
 
 def canonical_product(x: FiniteRandomVariable, y: FiniteRandomVariable) -> FiniteRandomVariable:

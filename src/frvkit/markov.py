@@ -11,30 +11,29 @@ cell independently of the others, so search reduces to per-cell candidate
 sets: a mediator exists iff every cell's candidate set is nonempty, and the
 lexicographically least candidate per cell gives a canonical witness.
 
-Each triple builds its integer tables once: one pass over the outcomes
-fills n(x,y), n(y,z) and n(x,z); each x gets a support row of
-(y, n(y), n(x,y)) for the y with n(x,y) > 0, and each z a column
-{y: n(y,z)}.  Over them the equation reads n(x,z) n(y) = n(y,z) n(x,y),
-tested by one function of four integers.  Where n(x,z) > 0 only x's
-support row can hold, and only it is walked; where n(x,z) = 0 every y off
-the row holds, so the walk over the Y-alphabet meets a candidate within
-|row| + 1 tests.  Both walks go in label order, as a dense scan would.
+Each triple builds its integer tables once: n(x,y), n(y,z) and n(x,z) are
+three :func:`frvkit.core.joint_masses` calls, and each x gets a support row
+of (y, n(y), n(x,y)) for the y with n(x,y) > 0.  Over them the equation
+reads n(x,z) n(y) = n(y,z) n(x,y), tested by one function of four
+integers.  The search walks each cell in label order and stops at its
+first candidate: where n(x,z) > 0 only x's support row can hold, and only
+it is walked; where n(x,z) = 0 every y off the row holds, so the walk over
+the Y-alphabet meets a candidate within |row| + 1 tests.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .core import FiniteRandomVariable, _group_rows, canonical_product
+from .core import FiniteRandomVariable, canonical_product, joint_masses
 from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
-from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _log_for_base
+from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _group_rows, _log_for_base
 
 FAMILIES = ("a", "b", "c", "d")
 
@@ -43,7 +42,7 @@ FAMILIES = ("a", "b", "c", "d")
 class Triple:
     """Three variables on one shared space, with integer tables over its
     denominator built once per triple: the joint masses n(x,y), n(y,z) and
-    n(x,z), the support row of every x and the column of every z."""
+    n(x,z), and the support row of every x."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -55,33 +54,23 @@ class Triple:
 
     @cached_property
     def _joint(self) -> Tuple[Dict, Dict, Dict]:
-        """n(x,y), n(y,z) and n(x,z), filled in one pass over the outcomes."""
-        xs, ys, zs = self.x.assignment, self.y.assignment, self.z.assignment
-        xy, yz, xz = defaultdict(int), defaultdict(int), defaultdict(int)
-        for outcome, mass in self.x.space.masses.items():
-            x, y, z = xs[outcome], ys[outcome], zs[outcome]
-            xy[x, y] += mass
-            yz[y, z] += mass
-            xz[x, z] += mass
-        return xy, yz, xz
+        """n(x,y), n(y,z) and n(x,z)."""
+        x, y, z = self.x, self.y, self.z
+        return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
 
     @cached_property
-    def _tables(self) -> Tuple[Dict, Dict]:
-        """The support row of every x, (y, n(y), n(x,y)) for each y with
-        n(x,y) > 0 in label order, and the column {y: n(y,z)} of every z."""
-        xy, yz, _ = self._joint
+    def _rows(self) -> Dict[Label, List]:
+        """The support row of every x: (y, n(y), n(x,y)) for each y with
+        n(x,y) > 0, in label order."""
         by_y: Dict[Label, List] = {y: [] for y in self.y.alphabet}
-        for (x, y), n in xy.items():
+        for (x, y), n in self._joint[0].items():
             if n:
                 by_y[y].append((x, n))
         rows: Dict[Label, List] = {x: [] for x in self.x.alphabet}
         for (y, hits), n_y in zip(by_y.items(), self.y.masses.values()):
             for x, n in hits:
                 rows[x].append((y, n_y, n))
-        columns: Dict[Label, Dict] = {z: {} for z in self.z.alphabet}
-        for (y, z), n in yz.items():
-            columns[z][y] = n
-        return rows, columns
+        return rows
 
 
 def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
@@ -125,52 +114,31 @@ def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
 def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
     """True iff the defining equation holds at every cell, exactly."""
     _check_mediator_shape(t, h)
-    xy, _, xz = t._joint
-    columns, n_y = t._tables[1], dict(t.y.masses)
+    xy, yz, xz = t._joint
+    n_y = dict(t.y.masses)
     for (z, x), y in h.table.items():
-        if not _holds(xz.get((x, z), 0), n_y[y], columns[z].get(y, 0), xy.get((x, y), 0)):
+        if not _holds(xz.get((x, z), 0), n_y[y], yz.get((y, z), 0), xy.get((x, y), 0)):
             return False
     return True
 
 
-def _walk(t: Triple, least: bool) -> Optional[Dict[Tuple[Label, Label], object]]:
-    """The candidate set C(z, x) of every cell, in label order: x's support
-    row where n(x,z) > 0, the whole Y-alphabet otherwise.  With ``least`` a
-    cell maps to its first candidate, where its walk stops, and the walk
-    gives ``None`` at the first cell without one."""
-    xy, _, xz = t._joint
-    rows, columns = t._tables
-    n_ys = t.y.masses.items()
-    cells: Dict[Tuple[Label, Label], object] = {}
-    for z, column in columns.items():
-        for x, row in rows.items():
-            found: List[Label] = []
-            n_xz = xz.get((x, z), 0)
-            if n_xz:
-                for y, n_y, n_xy in row:
-                    if _holds(n_xz, n_y, column.get(y, 0), n_xy):
-                        found.append(y)
-                        if least:
-                            break
-            else:
-                for y, n_y in n_ys:
-                    if _holds(0, n_y, column.get(y, 0), xy.get((x, y), 0)):
-                        found.append(y)
-                        if least:
-                            break
-            if least and not found:
-                return None
-            cells[z, x] = found[0] if least else found
-    return cells
-
-
 def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
-    """Per-cell candidate sets C(z, x) = {y : P(z|y) P(y|x) = P(z|x)}.
+    """Per-cell candidate sets C(z, x) = {y : P(z|y) P(y|x) = P(z|x)}, each
+    in label order.
 
     For any x of zero mass both sides vanish for every y, so the whole
     Y-alphabet is a candidate set there.
     """
-    return _walk(t, least=False)
+    xy, yz, xz = t._joint
+    n_ys = t.y.masses.items()
+    return {
+        (z, x): [
+            y for y, n_y in n_ys
+            if _holds(xz.get((x, z), 0), n_y, yz.get((y, z), 0), xy.get((x, y), 0))
+        ]
+        for z in t.z.alphabet
+        for x in t.x.alphabet
+    }
 
 
 def find_mediator(t: Triple) -> Optional[MediatorFunction]:
@@ -182,8 +150,26 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
     labels where n(x,z) = 0.  The search stops at the first cell without a
     candidate.
     """
-    table = _walk(t, least=True)
-    return None if table is None else MediatorFunction(table)
+    xy, yz, xz = t._joint
+    rows, n_ys = t._rows, t.y.masses.items()
+    table: Dict[Tuple[Label, Label], Label] = {}
+    for z in t.z.alphabet:
+        for x, row in rows.items():
+            n_xz = xz.get((x, z), 0)
+            if n_xz:
+                for y, n_y, n_xy in row:
+                    if _holds(n_xz, n_y, yz.get((y, z), 0), n_xy):
+                        break
+                else:
+                    return None
+            else:
+                for y, n_y in n_ys:
+                    if _holds(0, n_y, yz.get((y, z), 0), xy.get((x, y), 0)):
+                        break
+                else:
+                    return None
+            table[z, x] = y
+    return MediatorFunction(table)
 
 
 def weak_functoriality_residual(t: Triple, base: float = DEFAULT_BASE) -> float:

@@ -7,24 +7,29 @@ probability is the correctly rounded quotient ``mass / total``, the same
 float that ``float(Fraction(mass, total))`` gives.  Terms are accumulated in
 ascending order of mass; equal masses give equal terms, so results are
 bit-identical across runs, under relabelings, and under transposition of a
-joint table.  The ``0 * log 0 = 0`` convention is applied by skipping exact
-zeros before any logarithm is taken, so no NaN can arise.
+joint table.  The ``0 * log 0 = 0`` convention is applied by skipping each
+term whose probability is 0.0, exact zeros and masses too small for a
+float alike, before any logarithm is taken, so no NaN can arise.
 
 Each entropy is computed once per distribution and base.  H(X) is kept by
-the variable and H(X,Y) by the core's one-pair memo (see
-:mod:`frvkit.core`), keyed by the value of ``base`` once it has been
-accepted; ``entropy``, ``joint_entropy`` and ``mutual_information`` read
-them.  ``entropy`` of a variable's ``pmf`` view takes H(X) from the
+the variable (see :mod:`frvkit.core`) and H(X,Y) by the one-pair memo
+below, keyed by the value of ``base`` once it has been accepted;
+``entropy``, ``joint_entropy`` and ``mutual_information`` read them.  ``entropy`` of a variable's ``pmf`` view takes H(X) from the
 variable without checking its weights again, since the space checked them
 when it was built; any other mapping is checked as a distribution first.
 The view's masses are the check's masses scaled by one integer, so each
 term, the mass order and the sum are the same floats either way.
 
-The joint measures of a pair read one set of joint counts: the memo counts
-a pair once, in either order, and a conditional entropy groups those
-counts into the rows of its conditioning side.  Each row is summed in
-ascending order of mass, so the order in which the pair or the measures
-are asked for never changes a bit.
+The joint measures of a pair read one set of joint counts.  A private memo
+holds the last pair asked for, found by the identity of its two variables
+in either order, with its :func:`frvkit.core.joint_masses` counts and its
+H(X,Y) per base.  A conditional entropy groups those counts into the rows
+of its conditioning side, and each row is summed in ascending order of
+mass, so the order in which the pair or the measures are asked for never
+changes a bit.  The memo keeps at most one pair alive.  An entry is replaced as one tuple and its counts
+are never changed in place, so a thread always reads a whole entry; its
+entropy dict is filled once per base, and whichever thread fills it stores
+the same float.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
@@ -35,17 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import (
-    ZERO,
-    FiniteRandomVariable,
-    _check_weights,
-    _pair,
-    _pair_rows,
-    _PmfView,
-    joint_masses,
-)
+from .core import ZERO, FiniteRandomVariable, _check_weights, _PmfView, joint_masses
 from .errors import InvalidBase, NotAPmf
 from .labels import Label, label_text
 
@@ -53,8 +50,8 @@ DEFAULT_BASE = 2.0
 
 
 def _log_for_base(base: float) -> Callable[[float], float]:
-    if not base > 1.0:
-        raise InvalidBase(f"log base must be > 1, got {base!r}")
+    if not 1.0 < base < math.inf:
+        raise InvalidBase(f"log base must be finite and > 1, got {base!r}")
     if base == 2.0:
         return math.log2
     if base == 10.0:
@@ -66,15 +63,17 @@ def _log_for_base(base: float) -> Callable[[float], float]:
 
 
 def _entropy(masses: Iterable[int], total: int, log: Callable[[float], float]) -> float:
-    """-sum p log p over p = mass / total, exact zeros skipped.
+    """-sum p log p over p = mass / total, skipping each p that is 0.0:
+    exact zeros, and masses below about 5e-324 of the total, whose terms
+    are below 1e-320 (and whose logarithm would raise).
 
     The terms are added in ascending order of mass.  Equal masses give equal
     terms, so the result depends only on the multiset of masses, never on
     labels or iteration order."""
     acc = 0.0
     for mass in sorted(masses):
-        if mass:
-            value = mass / total
+        value = mass / total
+        if value:
             acc += value * log(value)
     return 0.0 - acc
 
@@ -106,6 +105,35 @@ def entropy(distribution: Mapping[Label, Fraction], base: float = DEFAULT_BASE) 
         return _kept_entropy(x._entropies, base, x.masses, x.space.denominator, log)
     denominator, masses = _check_weights(distribution, "probability")
     return _entropy(masses.values(), denominator, log)
+
+
+# One slot holding the entry of the last pair counted: (x, y, counts keyed
+# (x-label, y-label), H(X,Y) per log base).
+_last_pair: List[Optional[tuple]] = [None]
+
+
+def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
+    """The memo entry of the pair {x, y}: the last pair asked for, if that
+    was {x, y} in either order, else (x, y) counted now.  Its counts are
+    shared: read them, never change them."""
+    memo = _last_pair[0]
+    if memo is None or not (
+        (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
+    ):
+        memo = _last_pair[0] = (x, y, joint_masses(x, y), {})
+    return memo
+
+
+def _group_rows(
+    counts: Mapping[Tuple[Label, Label], int], side: int, labels: Sequence[Label]
+) -> Dict[Label, List[int]]:
+    """The masses of ``counts`` grouped by the label at position ``side`` of
+    each cell key, one row per label in ``labels``, which must hold every
+    such label."""
+    rows: Dict[Label, List[int]] = {label: [] for label in labels}
+    for key, n in counts.items():
+        rows[key[side]].append(n)
+    return rows
 
 
 def joint_entropy(
@@ -187,9 +215,9 @@ def conditional_entropy(
     """H(target | given): mass-weighted entropy of the kernel rows, summed
     over the conditioning labels in label order."""
     log = _log_for_base(base)
-    return _conditional_entropy(
-        _pair_rows(given, target), given.masses, given.space.denominator, log
-    )
+    memo = _pair(given, target)
+    rows = _group_rows(memo[2], 0 if memo[0] is given else 1, given.alphabet)
+    return _conditional_entropy(rows, given.masses, given.space.denominator, log)
 
 
 def mutual_information(

@@ -28,6 +28,7 @@ from frvkit import (
     verify_mediator,
     weak_functoriality_residual,
 )
+from frvkit import markov
 from frvkit.constructions import push_forward
 from frvkit.generators import (
     random_function,
@@ -352,6 +353,30 @@ def test_residuals_match_public_measures_bit_for_bit(base):
     assert zero_weight >= 40 and off_triangle >= 40
 
 
+def test_a_triple_counts_each_of_its_pairs_once(monkeypatch):
+    """The search, verification and both residuals on a fresh triple share
+    one counting pass per pair: (x, y), (y, z) and (x, z)."""
+    passes = []
+    count_joint = markov.joint_masses
+
+    def counted(x, y):
+        passes.append((x, y))
+        return count_joint(x, y)
+
+    monkeypatch.setattr(markov, "joint_masses", counted)
+    built = [generate_markov_triangle(seed, family="abcd"[seed % 4]) for seed in range(40)]
+    built += [_residual_triple(seed) for seed in range(40)]
+    for t in built:
+        fresh = Triple(t.x, t.y, t.z)
+        passes.clear()
+        mediator = find_mediator(fresh)
+        constant = {(z, x): t.y.alphabet[0] for z in t.z.alphabet for x in t.x.alphabet}
+        verify_mediator(fresh, mediator or MediatorFunction(constant))
+        weak_functoriality_residual(fresh)
+        chain_rule_residual(fresh)
+        assert passes == [(t.x, t.y), (t.y, t.z), (t.x, t.z)]
+
+
 def test_verify_mediator_agrees_with_the_oracle_equation_cell_by_cell():
     """Over the sweep, a table of least candidates (a cell without one takes
     the least label) with one cell moved to each other y: verify_mediator
@@ -384,6 +409,10 @@ def test_residuals_reject_base_one():
         weak_functoriality_residual(t, 1.0)
     with pytest.raises(InvalidBase):
         chain_rule_residual(t, 1.0)
+    with pytest.raises(InvalidBase):
+        weak_functoriality_residual(t, math.inf)
+    with pytest.raises(InvalidBase):
+        chain_rule_residual(t, math.inf)
 
 
 def test_zero_mass_conditioning_label_accepts_every_candidate():

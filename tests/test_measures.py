@@ -26,8 +26,10 @@ from frvkit import (
     joint_table,
     mutual_information,
     pmf,
+    space,
+    variable,
 )
-from frvkit import core
+from frvkit import measures
 from frvkit.cli import main
 from frvkit.generators import random_pair, random_space, random_variable
 
@@ -84,6 +86,8 @@ def test_entropy_rejects_bad_base():
         entropy({"h": half, "t": half}, base=1.0)
     with pytest.raises(InvalidBase):
         entropy({"h": half, "t": half}, base=0.5)
+    with pytest.raises(InvalidBase):
+        entropy({"h": half, "t": half}, base=math.inf)
 
 
 def test_entropy_rejects_non_pmf():
@@ -93,6 +97,29 @@ def test_entropy_rejects_non_pmf():
 
 def test_entropy_skips_exact_zeros():
     assert entropy({"h": half, "t": half, "ghost": Fraction(0)}) == 1.0
+
+
+TINY = Fraction(1, 10**400)
+TINY_REST = (1 - TINY) / 2
+
+
+def test_a_mass_whose_probability_underflows_adds_no_term(tmp_path, capsys):
+    """1/10^400 rounds to 0.0 as a float, so its term is dropped like an
+    exact zero's; the two halves of the rest each round to 0.5."""
+    sp = space({"tiny": TINY, "a": TINY_REST, "b": TINY_REST})
+    x = variable(sp, {"tiny": "t", "a": "a", "b": "b"})
+    assert entropy(x.pmf) == entropy(dict(x.pmf)) == 1.0
+    assert mutual_information(x, x) == joint_entropy(x, x) == 1.0
+    assert conditional_entropy(x, x) == 0.0
+    doc = tmp_path / "tiny.json"
+    cells = [[str(TINY), str(TINY_REST)], [str(TINY_REST), "0/1"]]
+    doc.write_text(json.dumps({
+        "version": 1,
+        "joint": {"rows": ["a", "b"], "cols": ["u", "v"], "cells": cells},
+    }))
+    assert main(["compute", str(doc), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["entropy_X"] == report["joint_entropy"] == 1.0
 
 
 def test_joint_entropy_duplicated_coin(coin):
@@ -335,14 +362,14 @@ def test_threads_on_distinct_pairs_agree_with_a_serial_run():
 def _count_passes(monkeypatch):
     """Count the passes over the outcomes from here on, with an empty memo."""
     passes = []
-    count_joint = core._count_joint
+    count_joint = measures.joint_masses
 
     def counted(x, y):
         passes.append((x, y))
         return count_joint(x, y)
 
-    core._last_pair[0] = None
-    monkeypatch.setattr(core, "_count_joint", counted)
+    measures._last_pair[0] = None
+    monkeypatch.setattr(measures, "joint_masses", counted)
     return passes
 
 
