@@ -9,7 +9,6 @@ command-line interface.
 
 from .core import (
     FiniteRandomVariable,
-    JointTable,
     MeasurePreservingMap,
     SampleSpace,
     canonical_pair,
@@ -20,7 +19,6 @@ from .core import (
     identity_map,
     joint_masses,
     joint_table,
-    pmf,
     product_space,
     projection_map,
     pull_back,
@@ -30,8 +28,6 @@ from .core import (
 )
 from .constructions import (
     PmfSequence,
-    Relabeling,
-    bijection,
     convex_sum,
     convex_sum_pairs,
     mixture_distribution,

@@ -540,7 +540,7 @@ def _random_sequence(rng: random.Random) -> SequenceInstance:
     that draw is redrawn, so every other draw stays as it was."""
     while True:
         x, y = random_pair(rng, max_alphabet=3, max_outcomes=5)
-        limit = joint_table(x, y).as_pmf()
+        limit = joint_table(x, y)
         if len(limit) > 1:
             break
     cells = sort_labels(limit)
@@ -585,8 +585,11 @@ def build_audit_corpus(seed: int = DEFAULT_SEED, instances: int = DEFAULT_INSTAN
     """Deterministic corpus: a fixed set of canonical witnesses first, then
     seeded random instances up to the requested count per check.
 
-    Alphabets stay at five labels or fewer and weights keep denominators of
-    at most 24, so counterexamples stay readable and exact arithmetic cheap.
+    Alphabets stay at five labels or fewer.  Drawn spaces, mixture weights
+    and sequence limits keep weight denominators of at most 24; the product
+    and refinement spaces built from them (mixture spaces, pullback sources)
+    reach up to 24 * 24.  Counterexamples stay readable and exact arithmetic
+    cheap.
     """
     if instances < MIN_INSTANCES:
         raise ValueError(f"corpus needs at least {MIN_INSTANCES} instances per check")

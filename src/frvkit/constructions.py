@@ -22,48 +22,17 @@ from .errors import AlphabetMismatch, DomainMismatch
 from .labels import Label, label_text, sort_labels
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """A validated bijection between two alphabets."""
-
-    source_alphabet: Tuple[Label, ...]
-    target_alphabet: Tuple[Label, ...]
-    mapping: Dict[Label, Label]
-
-    def __post_init__(self):
-        if set(self.mapping) != set(self.source_alphabet):
-            raise AlphabetMismatch("relabeling is not total on its source alphabet")
-        image = set(self.mapping.values())
-        if len(image) != len(self.mapping) or image != set(self.target_alphabet):
-            raise AlphabetMismatch("relabeling is not a bijection onto its target alphabet")
-
-    def __call__(self, label: Label) -> Label:
-        return self.mapping[label]
-
-    def inverse(self) -> "Relabeling":
-        return Relabeling(
-            self.target_alphabet,
-            self.source_alphabet,
-            {v: k for k, v in self.mapping.items()},
-        )
-
-
-def bijection(mapping: Mapping[Label, Label]) -> Relabeling:
-    """Build a relabeling from a plain mapping, inferring both alphabets."""
-    m = dict(mapping)
-    return Relabeling(tuple(sort_labels(m)), tuple(sort_labels(set(m.values()))), m)
-
-
 def push_forward(x: FiniteRandomVariable, mapping: Mapping[Label, Label]) -> FiniteRandomVariable:
     """The variable omega -> mapping(x(omega)); its alphabet is the image."""
     return FiniteRandomVariable(x.space, {w: mapping[lab] for w, lab in x.assignment.items()})
 
 
-def relabel(x: FiniteRandomVariable, f: Relabeling) -> FiniteRandomVariable:
-    """Compose a variable with a bijective relabeling of its alphabet."""
-    if set(f.source_alphabet) != set(x.alphabet):
-        raise AlphabetMismatch("relabeling source alphabet differs from the variable's")
-    return push_forward(x, f.mapping)
+def relabel(x: FiniteRandomVariable, mapping: Mapping[Label, Label]) -> FiniteRandomVariable:
+    """Compose a variable with a relabeling of its alphabet, which must be a
+    bijection: total on ``x.alphabet``, no other keys, and injective."""
+    if mapping.keys() != set(x.alphabet) or len(set(mapping.values())) != len(mapping):
+        raise AlphabetMismatch("relabeling is not a bijection on the variable's alphabet")
+    return push_forward(x, mapping)
 
 
 def tag_label(tag: Label, label: Label) -> Label:

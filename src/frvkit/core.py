@@ -191,47 +191,20 @@ def constant_variable(sp: SampleSpace, label: Label = "const") -> FiniteRandomVa
     return FiniteRandomVariable(sp, {outcome: label for outcome in sp.outcomes})
 
 
-def pmf(x: FiniteRandomVariable) -> Dict[Label, Fraction]:
-    """The pmf of ``x`` (validity is enforced at construction time)."""
-    return dict(x.pmf)
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Exact joint distribution of an ordered pair of variables.
-
-    Cells are stored for the full alphabet product, explicit zeros included,
-    and always sum to exactly 1.
-    """
-
-    row_alphabet: Tuple[Label, ...]
-    col_alphabet: Tuple[Label, ...]
-    cells: Dict[Tuple[Label, Label], Fraction]
-
-    def __post_init__(self):
-        expected = {(x, y) for x in self.row_alphabet for y in self.col_alphabet}
-        if set(self.cells) != expected:
-            raise AlphabetMismatch("joint cells do not cover the alphabet product")
-        _check_weights(self.cells, "joint cell")
-
-    def cell(self, x: Label, y: Label) -> Fraction:
-        return self.cells[(x, y)]
-
-    def as_pmf(self) -> Dict[Tuple[Label, Label], Fraction]:
-        return dict(self.cells)
-
-
-def joint_table(x: FiniteRandomVariable, y: FiniteRandomVariable) -> JointTable:
-    """Joint distribution: cell (a, b) = total weight of the outcomes mapped
-    to a by ``x`` and to b by ``y``.  Requires a shared sample space."""
+def joint_table(
+    x: FiniteRandomVariable, y: FiniteRandomVariable
+) -> Dict[Tuple[Label, Label], Fraction]:
+    """Exact joint distribution: cell (a, b) = total weight of the outcomes
+    mapped to a by ``x`` and to b by ``y``.  Covers the full alphabet
+    product, zero cells included, with rows in ``x.alphabet`` order.
+    Requires a shared sample space."""
     counts = joint_masses(x, y)
     denominator = x.space.denominator
-    cells: Dict[Tuple[Label, Label], Fraction] = {
-        (a, b): ZERO for a in x.alphabet for b in y.alphabet
+    return {
+        (a, b): Fraction(counts.get((a, b), 0), denominator)
+        for a in x.alphabet
+        for b in y.alphabet
     }
-    for cell, n in counts.items():
-        cells[cell] = Fraction(n, denominator)
-    return JointTable(x.alphabet, y.alphabet, cells)
 
 
 def joint_masses(

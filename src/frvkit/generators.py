@@ -20,7 +20,6 @@ from .core import (
     projection_map,
     refinement_map,
 )
-from .constructions import Relabeling
 from .labels import Label
 
 MAX_DENOMINATOR = 24
@@ -119,10 +118,11 @@ def random_triple(
     )
 
 
-def random_bijection(rng: random.Random, alphabet, prefix: str = "u") -> Relabeling:
+def random_bijection(rng: random.Random, alphabet, prefix: str = "u") -> Dict[Label, Label]:
+    """A uniformly random bijection from ``alphabet`` onto fresh labels."""
     targets = [f"{prefix}{i + 1}" for i in range(len(alphabet))]
     rng.shuffle(targets)
-    return Relabeling(tuple(alphabet), tuple(sorted(targets)), dict(zip(alphabet, targets)))
+    return dict(zip(alphabet, targets))
 
 
 def random_function(

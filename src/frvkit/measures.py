@@ -14,9 +14,10 @@ float alike, before any logarithm is taken, so no NaN can arise.
 Each entropy is computed once per distribution and base.  H(X) is kept by
 the variable (see :mod:`frvkit.core`) and H(X,Y) by the one-pair memo
 below, keyed by the value of ``base`` once it has been accepted;
-``entropy``, ``joint_entropy`` and ``mutual_information`` read them.  ``entropy`` of a variable's ``pmf`` view takes H(X) from the
-variable without checking its weights again, since the space checked them
-when it was built; any other mapping is checked as a distribution first.
+``entropy``, ``joint_entropy`` and ``mutual_information`` read them.
+``entropy`` of a variable's ``pmf`` view takes H(X) from the variable
+without checking its weights again, since the space checked them when it
+was built; any other mapping is checked as a distribution first.
 The view's masses are the check's masses scaled by one integer, so each
 term, the mass order and the sum are the same floats either way.
 
@@ -26,10 +27,10 @@ in either order, with its :func:`frvkit.core.joint_masses` counts and its
 H(X,Y) per base.  A conditional entropy groups those counts into the rows
 of its conditioning side, and each row is summed in ascending order of
 mass, so the order in which the pair or the measures are asked for never
-changes a bit.  The memo keeps at most one pair alive.  An entry is replaced as one tuple and its counts
-are never changed in place, so a thread always reads a whole entry; its
-entropy dict is filled once per base, and whichever thread fills it stores
-the same float.
+changes a bit.  The memo keeps at most one pair alive.  An entry is
+replaced as one tuple and its counts are never changed in place, so a
+thread always reads a whole entry; its entropy dict is filled once per
+base, and whichever thread fills it stores the same float.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.

@@ -30,6 +30,7 @@ from frvkit import (
     space,
     variable,
 )
+from frvkit import axioms
 from frvkit.axioms import (
     AXIOM_NAMES,
     MixtureInstance,
@@ -37,7 +38,13 @@ from frvkit.axioms import (
     PullbackInstance,
     VacuityInstance,
 )
-from frvkit.generators import random_bijection, random_mixture, random_pair, random_space
+from frvkit.generators import (
+    random_bijection,
+    random_mixture,
+    random_pair,
+    random_space,
+    random_variable,
+)
 
 half = Fraction(1, 2)
 
@@ -103,7 +110,7 @@ def test_probe_recovers_constructed_scales(small_corpus):
 def test_probe_rejects_contaminated_information(small_corpus):
     functional = CandidateFunctional(
         "mi_plus_joint",
-        lambda x, y: mutual_information(x, y) + 0.01 * entropy(joint_table(x, y).as_pmf()),
+        lambda x, y: mutual_information(x, y) + 0.01 * entropy(joint_table(x, y)),
     )
     report = characterization_probe(functional, small_corpus.probe_pairs(), tolerance=1e-6)
     assert report.max_abs_deviation >= 1e-3
@@ -201,7 +208,7 @@ def test_continuity_counterexample_is_the_parsable_limit_pair(small_corpus):
         inst for inst in small_corpus.sequences
         if inst.description == counterexample["description"]
     )
-    assert joint_table(variables["X"], variables["Y"]).as_pmf() == witness.limit
+    assert joint_table(variables["X"], variables["Y"]) == witness.limit
 
 
 def test_audit_reports_are_deterministic():
@@ -234,6 +241,40 @@ def test_strong_additivity_single_component_reduces(small_corpus):
         get_functional("mutual_information"), [instance], 1e-9
     )
     assert report.passed  # the point-mass index variable contributes zero
+
+
+def _mixtures_that_cannot_refute_squared_information():
+    """Seeded mixtures that each have one tag, or whose components all carry
+    zero information: on them I(M)^2 = H(w)^2 + sum w * I^2 holds exactly,
+    since either H(w) = 0 or every component's I is 0."""
+    rng = random.Random(25)
+    out = []
+    for _ in range(10):
+        x, y = random_pair(rng)
+        out.append(MixtureInstance({"m": Fraction(1)}, {"m": (x, y)}))
+    for _ in range(10):
+        sp = random_space(rng, rng.randint(1, 6))
+        c = constant_variable(sp, "c")
+        tags = [f"m{i + 1}" for i in range(rng.randint(2, 4))]
+        weights = {tag: Fraction(1, len(tags)) for tag in tags}
+        pairs = {}
+        for tag in tags:
+            x = random_variable(rng, sp, rng.randint(1, len(sp.outcomes)))
+            pairs[tag] = (x, c) if rng.random() < 0.5 else (c, x)
+        out.append(MixtureInstance(weights, pairs))
+    return out
+
+
+def test_squared_information_passes_strong_additivity_on_mixtures_that_cannot_refute_it():
+    """Axiom 2 fails for I^2 only on a mixture with two or more tags and a
+    component that carries information; without one the check passes, and
+    rightly so.  ``_hand_mixture`` is such a mixture."""
+    squared = get_functional("squared_mutual_information")
+    blind = _mixtures_that_cannot_refute_squared_information()
+    report = check_strong_additivity(squared, blind, 1e-9)
+    assert report.passed and report.max_residual <= 1e-12
+    report = check_strong_additivity(squared, [*blind, axioms._hand_mixture()], 1e-9)
+    assert not report.passed and report.max_residual >= 0.5
 
 
 def test_pullback_check_trivial_on_identity(small_corpus):
@@ -273,7 +314,7 @@ def test_self_information_invariant_under_bijections(rng):
         relabeled = relabel(x, f)
         # exact at the pmf level: the relabeled pmf is the original composed
         # with the inverse bijection
-        assert relabeled.pmf == {f(lab): mass for lab, mass in x.pmf.items()}
+        assert relabeled.pmf == {f[lab]: mass for lab, mass in x.pmf.items()}
         assert self_information(relabeled.pmf) == self_information(x.pmf)
 
 

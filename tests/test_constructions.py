@@ -10,7 +10,6 @@ from frvkit import (
     DomainMismatch,
     NotAPmf,
     PmfSequence,
-    bijection,
     canonical_product,
     constant_variable,
     convex_sum,
@@ -172,24 +171,32 @@ def test_product_of_convex_sums_is_convex_sum_of_products(seed):
 
 
 def test_relabel_identity(coin):
-    f = bijection({"h": "h", "t": "t"})
-    assert relabel(coin, f).assignment == coin.assignment
+    assert relabel(coin, {"h": "h", "t": "t"}).assignment == coin.assignment
 
 
 def test_relabel_coin_to_bits(coin):
-    f = bijection({"h": "0", "t": "1"})
-    relabeled = relabel(coin, f)
+    relabeled = relabel(coin, {"h": "0", "t": "1"})
     assert relabeled.pmf == {"0": half, "1": half}
 
 
 def test_relabel_requires_matching_alphabet(coin):
     with pytest.raises(AlphabetMismatch):
-        relabel(coin, bijection({"x": "y"}))
+        relabel(coin, {"x": "y"})
 
 
-def test_relabel_rejects_non_bijection():
+def test_relabel_rejects_non_bijection(coin):
     with pytest.raises(AlphabetMismatch):
-        bijection({"h": "0", "t": "0"})
+        relabel(coin, {"h": "0", "t": "0"})
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [{"h": "0"}, {"h": "0", "t": "1", "x": "2"}],
+    ids=["misses_a_label", "extra_key"],
+)
+def test_relabel_rejects_mappings_that_miss_or_add_a_label(coin, mapping):
+    with pytest.raises(AlphabetMismatch):
+        relabel(coin, mapping)
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,6 @@ from frvkit import (
     joint_masses,
     joint_table,
     mutual_information,
-    pmf,
     space,
     variable,
 )
@@ -426,7 +425,7 @@ def _plain_values(x, y):
     of KEPT_CALLS, in its order."""
     h_x = [entropy(dict(x.pmf), base) for base in KEPT_BASES]
     h_y = [entropy(dict(y.pmf), base) for base in KEPT_BASES]
-    h_xy = [entropy(joint_table(x, y).as_pmf(), base) for base in KEPT_BASES]
+    h_xy = [entropy(joint_table(x, y), base) for base in KEPT_BASES]
     i_xy = [(a + b) - c for a, b, c in zip(h_x, h_y, h_xy)]
     return [h.hex() for h in h_x + h_y + h_xy + i_xy]
 
@@ -467,7 +466,7 @@ def _view_variables():
 def test_pmf_is_a_read_only_view_in_alphabet_order():
     for x in _view_variables():
         view = x.pmf
-        assert view == dict(view) == pmf(x)
+        assert view == dict(view) == dict(x.pmf)
         assert list(view) == list(x.alphabet) == list(dict(view))
         assert len(view) == len(x.alphabet)
         assert all(view[a] == Fraction(x.masses[a], x.space.denominator) for a in x.alphabet)
@@ -488,7 +487,7 @@ def test_entropy_of_the_pmf_view_is_that_of_a_copy_and_outlives_changes_to_it():
         copy["extra"] = Fraction(1)
         assert entropy(copy) == 0.0
         assert [entropy(x.pmf, base).hex() for base in KEPT_BASES] == before
-        assert x.pmf == pmf(x) != copy
+        assert x.pmf == dict(x.pmf) != copy
 
 
 def test_entropy_still_checks_every_plain_mapping():
