@@ -8,9 +8,12 @@ enters only in the entropy layer (:mod:`frvkit.measures`).
 
 A space checks its weights once, when it is built, in one pass that reads
 each weight's integer ratio once, and keeps them as integer masses over one
-common denominator (the lcm of the weight denominators).  Label masses,
-joint cells and the measures are integer sums of those masses; ``Fraction``
-values are made only where the public API returns them.
+common denominator (the lcm of the weight denominators), scaled once per
+distinct denominator.  A space compares its outcomes with its weight keys,
+and a variable its assignment keys with the outcomes, in order before any
+set is built.  Label masses, joint cells and the measures are integer sums
+of those masses; ``Fraction`` values are made only where the public API
+returns them.
 
 All values are immutable after construction and safe to share across
 threads.  Equality is structural, so two independently built copies of the
@@ -58,8 +61,10 @@ def _check_weights(weights: Mapping, what: str) -> Tuple[int, Dict]:
             raise NotAPmf(f"{what} {label_text(key)}: {value} outside [0, 1]")
         nums.append(n)
         dens.append(d)
-    denominator = lcm(*dens)
-    masses = {key: n * (denominator // d) for key, n, d in zip(weights, nums, dens)}
+    distinct = set(dens)
+    denominator = lcm(*distinct)
+    scale = {d: denominator // d for d in distinct}
+    masses = {key: n * scale[d] for key, n, d in zip(weights, nums, dens)}
     if (total := sum(masses.values())) != denominator:
         raise NotAPmf(f"{what} sum is {Fraction(total, denominator)}, expected exactly 1")
     return denominator, masses
@@ -81,11 +86,13 @@ class SampleSpace:
     masses: Dict[Outcome, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        outcomes = set(self.outcomes)
-        if len(outcomes) != len(self.outcomes):
-            raise NotAPmf("duplicate outcomes in sample space")
-        if self.weights.keys() != outcomes:
-            raise NotAPmf("weight map does not cover exactly the outcome set")
+        # Dict keys are distinct, so outcomes equal to them in order are too.
+        if tuple(self.weights) != self.outcomes:
+            outcomes = set(self.outcomes)
+            if len(outcomes) != len(self.outcomes):
+                raise NotAPmf("duplicate outcomes in sample space")
+            if self.weights.keys() != outcomes:
+                raise NotAPmf("weight map does not cover exactly the outcome set")
         denominator, masses = _check_weights(self.weights, "outcome weight")
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "masses", masses)
@@ -96,9 +103,17 @@ class SampleSpace:
 
 
 def space(weights: Mapping[Outcome, "Fraction | int | str"]) -> SampleSpace:
-    """Convenience constructor; coerces weight values that are not already
-    ``Fraction``s (ints, ``"num/den"`` strings) through ``Fraction``."""
-    converted = {k: v if type(v) is Fraction else Fraction(v) for k, v in weights.items()}
+    """Convenience constructor on a copy of ``weights``.  Each weight is a
+    ``Fraction`` (kept as given; a subclass value becomes a plain one), an
+    ``int`` other than ``bool`` or a ``"num/den"`` string; any other value,
+    a float among them, raises :class:`NotAPmf` naming the first such entry."""
+    converted = dict(weights)
+    if not set(map(type, converted.values())) <= {Fraction}:
+        for key, value in converted.items():
+            if type(value) is bool or not isinstance(value, (Fraction, int, str)):
+                expected = f'expected Fraction, int or "num/den" string, got {type(value).__name__}'
+                raise NotAPmf(f"outcome weight {label_text(key)}: {expected}")
+            converted[key] = value if type(value) is Fraction else Fraction(value)
     return SampleSpace(tuple(converted), converted)
 
 
@@ -121,7 +136,8 @@ class FiniteRandomVariable:
     )
 
     def __post_init__(self):
-        if self.assignment.keys() != self.space.masses.keys():
+        keys = self.assignment.keys()
+        if tuple(keys) != self.space.outcomes and keys != self.space.masses.keys():
             raise AlphabetMismatch("assignment is not total on the outcome set")
 
     @cached_property

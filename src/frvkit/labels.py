@@ -29,14 +29,16 @@ def label_key(label: Label):
 
 
 def sort_labels(labels: Iterable[Label]) -> list:
-    """The labels in :func:`label_key` order, which is the built-in order
-    when all are strings or all are tuples of strings."""
+    """The labels in :func:`label_key` order, which the built-in sort gives
+    whenever it succeeds: the two comparisons agree wherever the built-in
+    one answers, it raises ``TypeError`` on labels that differ in type at
+    their first differing position, and a finished sort has compared every
+    adjacent pair of its output.  On ``TypeError`` the keyed sort runs."""
     labels = list(labels)
-    if all(type(label) is str for label in labels) or all(
-        type(label) is tuple and all(type(part) is str for part in label) for label in labels
-    ):
+    try:
         return sorted(labels)
-    return sorted(labels, key=label_key)
+    except TypeError:
+        return sorted(labels, key=label_key)
 
 
 def label_text(label: Label) -> str:

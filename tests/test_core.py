@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,13 @@ from frvkit import (
     NotAPmf,
     canonical_product,
     canonical_variable,
+    conditional_entropy,
     constant_variable,
+    entropy,
     identity_map,
+    joint_entropy,
     joint_table,
+    mutual_information,
     product_space,
     projection_map,
     pull_back,
@@ -23,6 +29,7 @@ from frvkit import (
 )
 from frvkit.core import MeasurePreservingMap, SampleSpace
 from frvkit.generators import random_pair, random_pullback, random_refinement
+from frvkit.labels import label_text
 
 half = Fraction(1, 2)
 
@@ -281,9 +288,14 @@ def test_space_denominator_is_the_lcm_of_the_weight_denominators():
 def test_space_rejects_duplicate_or_uncovered_outcomes():
     cases = [
         (("a", "a", "b"), {"a": half, "b": half}, "duplicate outcomes in sample space"),
+        (("b", "a", "a"), {"a": half, "b": half}, "duplicate outcomes in sample space"),
+        (["a", "b", "b"], {"a": half, "b": half}, "duplicate outcomes in sample space"),
         (("a", "b"), {"a": Fraction(1)}, "weight map does not cover exactly the outcome set"),
+        (["a", "b"], {"a": Fraction(1)}, "weight map does not cover exactly the outcome set"),
         (("a",), {"a": half, "b": half}, "weight map does not cover exactly the outcome set"),
+        (("b",), {"a": half, "b": half}, "weight map does not cover exactly the outcome set"),
         (("a", "b"), {"a": half, "c": half}, "weight map does not cover exactly the outcome set"),
+        (("c", "a"), {"a": half, "b": half}, "weight map does not cover exactly the outcome set"),
     ]
     for outcomes, weights, message in cases:
         with pytest.raises(NotAPmf) as excinfo:
@@ -292,14 +304,77 @@ def test_space_rejects_duplicate_or_uncovered_outcomes():
 
 
 def test_assignment_and_mapping_must_match_the_outcomes_exactly(coin_space):
-    with pytest.raises(AlphabetMismatch):
-        variable(coin_space, {"w1": "h", "w2": "t", "w3": "t"})
-    with pytest.raises(AlphabetMismatch):
-        variable(coin_space, {"w1": "h", "w3": "t"})
+    message = "assignment is not total on the outcome set"
+    for assignment in (
+        {"w1": "h", "w2": "t", "w3": "t"},
+        {"w3": "t", "w2": "t", "w1": "h"},
+        {"w1": "h", "w3": "t"},
+        {"w3": "t", "w1": "h"},
+        {"w2": "t"},
+    ):
+        with pytest.raises(AlphabetMismatch) as excinfo:
+            variable(coin_space, assignment)
+        assert str(excinfo.value) == message
+    listed = SampleSpace(list(coin_space.outcomes), dict(coin_space.weights))
+    with pytest.raises(AlphabetMismatch) as excinfo:
+        variable(listed, {"w1": "h", "w3": "t"})
+    assert str(excinfo.value) == message
     with pytest.raises(DomainMismatch):
         MeasurePreservingMap(coin_space, coin_space, {"w1": "w1", "w2": "w2", "w3": "w1"})
     with pytest.raises(DomainMismatch):
         MeasurePreservingMap(coin_space, coin_space, {"w1": "w1"})
+
+
+def _entropy_hexes(x, y):
+    return [
+        value.hex()
+        for base in (2, math.e, 10)
+        for value in (
+            entropy(x.pmf, base),
+            entropy(y.pmf, base),
+            joint_entropy(x, y, base),
+            conditional_entropy(x, y, base),
+            conditional_entropy(y, x, base),
+            mutual_information(x, y, base),
+        )
+    ]
+
+
+def _shuffled(rng, mapping):
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_spaces_and_variables_built_out_of_key_order_match_the_in_order_build():
+    rng = random.Random(26)
+    for _ in range(40):
+        x0, y0 = random_pair(rng)
+        weights = dict(x0.space.weights)
+        permuted = list(weights)
+        rng.shuffle(permuted)
+        builds = {
+            "in order": SampleSpace(tuple(weights), weights),
+            "permuted": SampleSpace(tuple(permuted), weights),
+            "list": SampleSpace(list(weights), weights),
+        }
+        reference = builds["in order"]
+        expected = None
+        for how, sp in builds.items():
+            assert (sp.denominator, sp.masses) == (reference.denominator, reference.masses), how
+            for xs, ys in (
+                (x0.assignment, y0.assignment),
+                (_shuffled(rng, x0.assignment), _shuffled(rng, y0.assignment)),
+            ):
+                x, y = variable(sp, xs), variable(sp, ys)
+                assert (x.masses, y.masses) == (x0.masses, y0.masses), how
+                hexes = _entropy_hexes(x, y)
+                expected = expected or hexes
+                assert hexes == expected, how
+
+
+class _Exact(Fraction):
+    """A ``Fraction`` subclass, which ``space`` stores as a plain one."""
 
 
 def test_space_coerces_int_and_string_weights():
@@ -309,6 +384,89 @@ def test_space_coerces_int_and_string_weights():
     assert mixed == exact
     assert all(type(value) is Fraction for value in mixed.weights.values())
     assert mixed.weights["d"] is half
+    assert exact.weights["d"] is half and exact.weights["c"] == Fraction(1, 4)
+    sub = space({"a": _Exact(1, 2), "b": half})
+    assert type(sub.weights["a"]) is Fraction and sub.weights["a"] == half
+    assert sub == space({"a": half, "b": half})
+    for weights in ({"a": half, "b": half}, {"a": half, "b": "1/2"}):
+        sp = space(weights)
+        before = (sp.outcomes, dict(sp.weights), sp.denominator, dict(sp.masses))
+        weights["a"] = Fraction(1)
+        weights["c"] = Fraction(0)
+        del weights["b"]
+        assert (sp.outcomes, sp.weights, sp.denominator, sp.masses) == before
+
+
+@pytest.mark.parametrize(
+    "weights, kind",
+    [
+        ({"a": 0.5, "b": 0.5}, "float"),
+        ({"a": Fraction(1, 10), "b": 0.9}, "float"),
+        ({"a": True}, "bool"),
+        ({"a": 0, "b": False, "c": 1}, "bool"),
+        ({("a", "u"): Decimal("0.5"), "b": half}, "Decimal"),
+        ({"a": "1/2", "b": 0.25, "c": True, "d": "1/4"}, "float"),
+    ],
+)
+def test_space_rejects_weights_that_are_not_fraction_int_or_string(weights, kind):
+    first = next(k for k, v in weights.items() if type(v).__name__ == kind)
+    with pytest.raises(NotAPmf) as excinfo:
+        space(weights)
+    assert str(excinfo.value) == (
+        f'outcome weight {label_text(first)}: expected Fraction, int or "num/den" string, '
+        f"got {kind}"
+    )
+
+
+def test_space_decodes_each_exact_weight_once_and_makes_no_fraction(monkeypatch):
+    rng = random.Random(11)
+    for n in (1, 7, 64):
+        masses = [rng.randint(0, 9) for _ in range(n - 1)] + [1]
+        weights = {f"w{k}": Fraction(m, sum(masses)) for k, m in enumerate(masses)}
+        counts = {"decoded": 0, "made": 0}
+        ratio, new = Fraction.as_integer_ratio, Fraction.__new__
+
+        def counted_ratio(self):
+            counts["decoded"] += 1
+            return ratio(self)
+
+        def counted_new(cls, *args, **kwargs):
+            counts["made"] += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "as_integer_ratio", counted_ratio)
+            patch.setattr(Fraction, "__new__", counted_new)
+            sp = space(weights)
+            Fraction(1, 3)  # the counter sees what is made while patched
+        assert counts == {"decoded": n, "made": 1}, n
+        assert sp.weights == weights
+
+
+def test_space_masses_match_an_lcm_over_every_denominator():
+    rng = random.Random(941)
+    maps = []
+    for _ in range(60):
+        total = rng.choice((6, 12, 24, 60))
+        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 12)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        maps.append({f"w{k}": Fraction(part, total) for k, part in enumerate(parts)})
+    primes = [p for p in range(101, 400) if all(p % q for q in range(2, p))][:25]
+    reciprocals = {f"p{p}": Fraction(1, p) for p in primes}
+    reciprocals["rest"] = 1 - sum(reciprocals.values())
+    maps.append(reciprocals)
+    maps.append({"zero": Fraction(0), "one": Fraction(1), "also zero": Fraction(0)})
+    for weights in maps:
+        denominator = math.lcm(*(value.denominator for value in weights.values()))
+        masses = {
+            key: value.numerator * (denominator // value.denominator)
+            for key, value in weights.items()
+        }
+        sp = space(weights)
+        assert (sp.denominator, sp.masses) == (denominator, masses)
+        assert list(sp.masses) == list(weights)
+    assert space(reciprocals).denominator == math.prod(primes)
+    assert any(len({v.denominator for v in weights.values()}) < len(weights) for weights in maps)
 
 
 def test_space_allows_zero_weight_outcomes():

@@ -22,6 +22,15 @@ SHAPES = {
     "string tuples": lambda rng: tuple(_word(rng) for _ in range(rng.randint(0, 4))),
     "nested tuples": lambda rng: tuple(_label(rng, 2) for _ in range(rng.randint(0, 3))),
     "strings and tuples": lambda rng: _label(rng, 3),
+    # The built-in sort raises only at a nested position, e.g. on
+    # ("a", "b") against ("a", ("b",)).
+    "nested type mix": lambda rng: (
+        rng.choice("ab"),
+        rng.choice([_word(rng), (_word(rng),), (_word(rng), _word(rng))]),
+    ),
+    "strings and string tuples": lambda rng: rng.choice(
+        [_word(rng), tuple(_word(rng) for _ in range(rng.randint(0, 2)))]
+    ),
 }
 
 
@@ -43,3 +52,8 @@ def test_sort_labels_fixed_cases():
     assert sort_labels(mixed) == ["", "b", ("a",), ("a", "b"), ("a", ("b",)), (("a",),)]
     assert sort_labels(mixed) == sorted(mixed, key=label_key)
     assert sort_labels([]) == []
+    nested = [("a", ("b",)), ("b", "a"), ("a", "b")]
+    with pytest.raises(TypeError):
+        sorted(nested)
+    assert sort_labels(nested) == [("a", "b"), ("a", ("b",)), ("b", "a")]
+    assert sort_labels(iter(nested)) == sorted(nested, key=label_key)
