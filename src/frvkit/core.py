@@ -86,6 +86,9 @@ class SampleSpace:
     masses: Dict[Outcome, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Kept as a tuple whatever sequence was passed, so that equality and
+        # immutability do not depend on it.
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
         # Dict keys are distinct, so outcomes equal to them in order are too.
         if tuple(self.weights) != self.outcomes:
             outcomes = set(self.outcomes)

@@ -11,14 +11,17 @@ cell independently of the others, so search reduces to per-cell candidate
 sets: a mediator exists iff every cell's candidate set is nonempty, and the
 lexicographically least candidate per cell gives a canonical witness.
 
-Each triple builds its integer tables once: n(x,y), n(y,z) and n(x,z) are
-three :func:`frvkit.core.joint_masses` calls, and each x gets a support row
-of (y, n(y), n(x,y)) for the y with n(x,y) > 0.  Over them the equation
+Each triple counts n(x,y), n(y,z) and n(x,z) once, in three
+:func:`frvkit.core.joint_masses` calls, and groups the positive counts of
+each once into rows, one per label of its first variable: n(x,.) per x, in
+y-label order, n(y,.) per y, and the n(x,.) of (x, z) per x.  Search,
+verification, candidate listing and the chain-rule residual read counts
+from these rows by label and build no tuple key.  Over them the equation
 reads n(x,z) n(y) = n(y,z) n(x,y), tested by one function of four
 integers.  The search walks each cell in label order and stops at its
-first candidate: where n(x,z) > 0 only x's support row can hold, and only
-it is walked; where n(x,z) = 0 every y off the row holds, so the walk over
-the Y-alphabet meets a candidate within |row| + 1 tests.
+first candidate: where n(x,z) > 0 only a y in x's row of n(x,.) can hold,
+and only that row is walked; where n(x,z) = 0 every y off the row holds,
+so the walk over the Y-alphabet meets a candidate within |row| + 1 tests.
 """
 
 from __future__ import annotations
@@ -33,16 +36,16 @@ from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
-from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _group_rows, _log_for_base
+from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _log_for_base
 
 FAMILIES = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True)
 class Triple:
-    """Three variables on one shared space, with integer tables over its
-    denominator built once per triple: the joint masses n(x,y), n(y,z) and
-    n(x,z), and the support row of every x."""
+    """Three variables on one shared space, with the joint masses n(x,y),
+    n(y,z) and n(x,z) over its denominator counted once per triple, and
+    their positive counts grouped once into one row per label."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -59,18 +62,30 @@ class Triple:
         return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
 
     @cached_property
-    def _rows(self) -> Dict[Label, List]:
-        """The support row of every x: (y, n(y), n(x,y)) for each y with
-        n(x,y) > 0, in label order."""
-        by_y: Dict[Label, List] = {y: [] for y in self.y.alphabet}
-        for (x, y), n in self._joint[0].items():
+    def _grouped(self) -> Tuple[Dict[Label, Dict[Label, int]], ...]:
+        """The positive counts of the joint tables in one row per label:
+        n(x,.) per x, in y-label order, n(y,.) per y and the n(x,.) of
+        (x, z) per x."""
+        xy, yz, xz = self._joint
+        by_y: Dict[Label, List] = {b: [] for b in self.y.alphabet}
+        for (a, b), n in xy.items():
             if n:
-                by_y[y].append((x, n))
-        rows: Dict[Label, List] = {x: [] for x in self.x.alphabet}
-        for (y, hits), n_y in zip(by_y.items(), self.y.masses.values()):
-            for x, n in hits:
-                rows[x].append((y, n_y, n))
-        return rows
+                by_y[b].append((a, n))
+        xy_rows: Dict[Label, Dict[Label, int]] = {a: {} for a in self.x.alphabet}
+        for b, hits in by_y.items():
+            for a, n in hits:
+                xy_rows[a][b] = n
+        return xy_rows, _group(yz, self.y.alphabet), _group(xz, self.x.alphabet)
+
+
+def _group(counts: Dict[Tuple[Label, Label], int], labels: Tuple[Label, ...]) -> Dict:
+    """The positive counts of ``counts`` in one row per label of
+    ``labels``, each keyed by the second label of its cells."""
+    rows: Dict[Label, Dict[Label, int]] = {a: {} for a in labels}
+    for (a, b), n in counts.items():
+        if n:
+            rows[a][b] = n
+    return rows
 
 
 def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
@@ -114,10 +129,10 @@ def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
 def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
     """True iff the defining equation holds at every cell, exactly."""
     _check_mediator_shape(t, h)
-    xy, yz, xz = t._joint
-    n_y = dict(t.y.masses)
+    xy, yz, xz = t._grouped
+    n_y = t.y.masses
     for (z, x), y in h.table.items():
-        if not _holds(xz.get((x, z), 0), n_y[y], yz.get((y, z), 0), xy.get((x, y), 0)):
+        if not _holds(xz[x].get(z, 0), n_y[y], yz[y].get(z, 0), xy[x].get(y, 0)):
             return False
     return True
 
@@ -129,15 +144,13 @@ def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
     For any x of zero mass both sides vanish for every y, so the whole
     Y-alphabet is a candidate set there.
     """
-    xy, yz, xz = t._joint
+    xy, yz, xz = t._grouped
     n_ys = t.y.masses.items()
     return {
-        (z, x): [
-            y for y, n_y in n_ys
-            if _holds(xz.get((x, z), 0), n_y, yz.get((y, z), 0), xy.get((x, y), 0))
-        ]
+        (z, x): [y for y, n_y in n_ys if _holds(n_xz, n_y, yz[y].get(z, 0), row.get(y, 0))]
         for z in t.z.alphabet
-        for x in t.x.alphabet
+        for x, row in xy.items()
+        for n_xz in (xz[x].get(z, 0),)
     }
 
 
@@ -146,25 +159,26 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
 
     The returned table takes the least admissible y in every cell, so
     repeated runs agree bit for bit.  Each cell's walk stops at that y: it
-    tests only x's support row where n(x,z) > 0, and at most |row| + 1
-    labels where n(x,z) = 0.  The search stops at the first cell without a
-    candidate.
+    tests only the y of x's row of n(x,.) where n(x,z) > 0, and at most
+    that row's length + 1 labels where n(x,z) = 0.  The search stops at the
+    first cell without a candidate.
     """
-    xy, yz, xz = t._joint
-    rows, n_ys = t._rows, t.y.masses.items()
+    xy, yz, xz = t._grouped
+    n_y = t.y.masses
+    n_ys = n_y.items()
     table: Dict[Tuple[Label, Label], Label] = {}
     for z in t.z.alphabet:
-        for x, row in rows.items():
-            n_xz = xz.get((x, z), 0)
+        for x, row in xy.items():
+            n_xz = xz[x].get(z, 0)
             if n_xz:
-                for y, n_y, n_xy in row:
-                    if _holds(n_xz, n_y, yz.get((y, z), 0), n_xy):
+                for y, n_xy in row.items():
+                    if _holds(n_xz, n_y[y], yz[y].get(z, 0), n_xy):
                         break
                 else:
                     return None
             else:
-                for y, n_y in n_ys:
-                    if _holds(0, n_y, yz.get((y, z), 0), xy.get((x, y), 0)):
+                for y, n in n_ys:
+                    if _holds(0, n, yz[y].get(z, 0), row.get(y, 0)):
                         break
                 else:
                     return None
@@ -190,13 +204,12 @@ def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     over Markov triangles, so this vanishes there."""
     log = _log_for_base(base)
     total = t.x.space.denominator
-    xy, yz, xz = t._joint
-    xs, ys = t.x.alphabet, t.y.alphabet
-    return (
-        _conditional_entropy(_group_rows(xz, 0, xs), t.x.masses, total, log)
-        - _conditional_entropy(_group_rows(yz, 0, ys), t.y.masses, total, log)
-        - _conditional_entropy(_group_rows(xy, 0, xs), t.x.masses, total, log)
-    )
+    xy, yz, xz = t._grouped
+
+    def given(v: FiniteRandomVariable, rows: Dict[Label, Dict[Label, int]]) -> float:
+        return _conditional_entropy(map(dict.values, rows.values()), v.masses.values(), total, log)
+
+    return given(t.x, xz) - given(t.y, yz) - given(t.x, xy)
 
 
 def generate_markov_triangle(

@@ -195,18 +195,18 @@ def conditional_kernel(
 
 
 def _conditional_entropy(
-    rows: Mapping[Label, Iterable[int]],
-    given: Mapping[Label, int],
+    rows: Iterable[Iterable[int]],
+    masses: Iterable[int],
     total: int,
     log: Callable[[float], float],
 ) -> float:
     """H(target | given) from the joint counts n(g, t) grouped into one row
-    per conditioning label g, and the conditioning masses n(g), all over
-    ``total``."""
+    per conditioning label g and the conditioning masses n(g), both in the
+    same label order, all over ``total``."""
     acc = 0.0
-    for x, mass in given.items():
+    for row, mass in zip(rows, masses):
         if mass:
-            acc += (mass / total) * _entropy(rows[x], mass, log)
+            acc += (mass / total) * _entropy(row, mass, log)
     return acc + 0.0
 
 
@@ -218,7 +218,7 @@ def conditional_entropy(
     log = _log_for_base(base)
     memo = _pair(given, target)
     rows = _group_rows(memo[2], 0 if memo[0] is given else 1, given.alphabet)
-    return _conditional_entropy(rows, given.masses, given.space.denominator, log)
+    return _conditional_entropy(rows.values(), given.masses.values(), given.space.denominator, log)
 
 
 def mutual_information(

@@ -23,6 +23,13 @@ of the text argparse prints (``--help`` of the program and of each
 command, ``--version``, two usage errors) and of the runs that set
 ``--pair`` and ``--vars``, which no other golden sets.  Every CLI golden is
 recorded and compared at a terminal width of 80 columns.
+``golden/mediator_wide.json`` holds one sha256 per case of the mediator
+sweep at the benchmark's sizes: family-a triangles of 16 x 16 labels with
+160 middle labels, family-d chains of 192 -> 32 -> 4 labels and random
+triples of 20 labels each, all on spaces with zero-weight outcomes.  Each
+digest covers the canonical mediator, two ``verify_mediator`` results, the
+``mediator_candidates`` lists and ``float.hex`` of both residuals at four
+bases.
 
 Run ``PYTHONPATH=src python tests/goldens.py --check`` to replay every
 file under ``golden/`` and report each one that differs (exit status 1).
@@ -45,18 +52,27 @@ from pathlib import Path
 from unittest import mock
 
 from frvkit import (
+    MediatorFunction,
+    Triple,
     build_audit_corpus,
     canonical_product,
+    chain_rule_residual,
     conditional_entropy,
     entropy,
+    find_mediator,
     joint_entropy,
+    mediator_candidates,
     mutual_information,
     space,
     variable,
+    verify_mediator,
+    weak_functoriality_residual,
 )
 from frvkit.axioms import triangle_document
 from frvkit.cli import main
+from frvkit.constructions import push_forward
 from frvkit.documents import instance_document, pmf_document, serialize_document
+from frvkit.generators import random_function, random_space, random_variable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +96,8 @@ COMMANDS = ("compute", "triangle", "audit", "generate")
 CORPUS_SEEDS = range(40)
 CORPUS_SIZES = (4, 7, 16, 64)
 SEQUENCE_TERMS = (1, 3, 1000)
+MEDIATOR_WIDE_CASES = range(24)
+RESIDUAL_BASES = (2.0, math.e, 10.0, 3.0)
 
 
 def sweep_pair(index: int, size_x: int, size_y: int, n: int):
@@ -237,6 +255,55 @@ def corpus_digests(instances: int) -> dict:
     return digests
 
 
+def mediator_wide_triple(index: int) -> Triple:
+    """Case ``index`` of the mediator sweep, by ``index % 3``: a family-a
+    triangle (X, X*Z, Z) on 16 x 16 labels whose middle variable hits 160
+    cells, a family-d chain X -> phi(X) -> psi(phi(X)) of 192, 32 and 4
+    labels, or a random triple of 20 labels each.  Every space carries
+    zero-weight outcomes."""
+    rng = random.Random(f"golden/mediator-wide/{index}")
+    kind = index % 3
+    if kind == 0:
+        grid = [(f"x{i}", f"z{j}") for i in range(16) for j in range(16)]
+        cells = [(f"x{i}", f"z{i}") for i in range(16)]
+        cells += rng.sample([c for c in grid if c not in cells], 160 - 16)
+        hits = random_variable(rng, random_space(rng, 240, 480, allow_zero=True), 160, prefix="c")
+        x = push_forward(hits, {f"c{k + 1}": cell[0] for k, cell in enumerate(cells)})
+        z = push_forward(hits, {f"c{k + 1}": cell[1] for k, cell in enumerate(cells)})
+        return Triple(x, canonical_product(x, z), z)
+    if kind == 1:
+        x = random_variable(rng, random_space(rng, 384, 768, allow_zero=True), 192, prefix="x")
+        mid = push_forward(x, random_function(rng, x.alphabet, 32, prefix="p"))
+        return Triple(x, mid, push_forward(mid, random_function(rng, mid.alphabet, 4, prefix="q")))
+    sp = random_space(rng, 160, 320, allow_zero=True)
+    return Triple(*(random_variable(rng, sp, 20, prefix=prefix) for prefix in "xyz"))
+
+
+def mediator_wide_digest(t: Triple) -> str:
+    """sha256 over the canonical mediator (or ``None``), ``verify_mediator``
+    on the table of least candidates (a cell without one takes the least
+    label) and on that table with its last cell moved to the next label,
+    the candidate lists, and both residuals at each of RESIDUAL_BASES."""
+    mediator = find_mediator(t)
+    candidates = mediator_candidates(t)
+    least = {cell: ys[0] if ys else t.y.alphabet[0] for cell, ys in candidates.items()}
+    last = list(least)[-1]
+    ys = t.y.alphabet
+    moved = {**least, last: ys[(ys.index(least[last]) + 1) % len(ys)]}
+    record = [
+        None if mediator is None else list(mediator.table.items()),
+        verify_mediator(t, MediatorFunction(least)),
+        verify_mediator(t, MediatorFunction(moved)),
+        list(candidates.items()),
+        [
+            residual(t, base).hex()
+            for base in RESIDUAL_BASES
+            for residual in (weak_functoriality_residual, chain_rule_residual)
+        ],
+    ]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
 def run_cli(argv, tmp_path: Path):
     """Exit code, stdout and stderr of ``frvkit ARGV`` at a terminal width
     of 80 columns (argparse reads ``COLUMNS`` each time it formats help or
@@ -310,6 +377,9 @@ def golden_files(tmp_path: Path) -> dict:
         "parser.json": lambda: _outputs(parser_runs(documents), tmp_path, ("code", "stdout", "stderr")),
         "corpus.json": lambda: {
             key: digest for instances in CORPUS_SIZES for key, digest in corpus_digests(instances).items()
+        },
+        "mediator_wide.json": lambda: {
+            str(index): mediator_wide_digest(mediator_wide_triple(index)) for index in MEDIATOR_WIDE_CASES
         },
     }
 

@@ -18,6 +18,7 @@ from frvkit import (
     entropy,
     identity_map,
     joint_entropy,
+    joint_masses,
     joint_table,
     mutual_information,
     product_space,
@@ -371,6 +372,32 @@ def test_spaces_and_variables_built_out_of_key_order_match_the_in_order_build():
                 hexes = _entropy_hexes(x, y)
                 expected = expected or hexes
                 assert hexes == expected, how
+
+
+def _listed_and_tupled():
+    """One space built from a list of outcomes and again from a tuple."""
+    weights = {"a": Fraction(1, 3), "b": Fraction(2, 3)}
+    return SampleSpace(list(weights), weights), SampleSpace(tuple(weights), weights)
+
+
+def test_spaces_built_from_a_list_or_a_tuple_of_outcomes_are_equal():
+    listed, tupled = _listed_and_tupled()
+    assert listed == tupled
+    assert listed.outcomes == ("a", "b")
+
+
+def test_variables_on_spaces_built_from_a_list_and_a_tuple_share_a_joint_table():
+    listed, tupled = _listed_and_tupled()
+    x = variable(listed, {"a": "u", "b": "v"})
+    y = variable(tupled, {"a": "s", "b": "t"})
+    assert joint_masses(x, y) == {("u", "s"): 1, ("v", "t"): 2}
+
+
+def test_a_space_built_from_a_list_of_outcomes_cannot_be_changed_through_it():
+    listed, _ = _listed_and_tupled()
+    with pytest.raises(AttributeError):
+        listed.outcomes.append("c")
+    assert listed.outcomes == ("a", "b")
 
 
 class _Exact(Fraction):

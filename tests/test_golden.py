@@ -14,10 +14,13 @@ from goldens import (
     CORPUS_SIZES,
     GENERATE_RUNS,
     GOLDEN,
+    MEDIATOR_WIDE_CASES,
     cli_runs,
     corpus_digests,
     golden_invocations,
     measure_values,
+    mediator_wide_digest,
+    mediator_wide_triple,
     parser_runs,
     run_cli,
     sweep_cases,
@@ -106,3 +109,9 @@ def test_corpus_documents_identical(instances):
     golden = json.loads((GOLDEN / "corpus.json").read_text())
     expected = {key: value for key, value in golden.items() if key.endswith(f"/{instances}")}
     assert corpus_digests(instances) == expected
+
+
+@pytest.mark.parametrize("index", MEDIATOR_WIDE_CASES)
+def test_mediator_search_and_residuals_identical_at_benchmark_sizes(index):
+    golden = json.loads((GOLDEN / "mediator_wide.json").read_text())
+    assert mediator_wide_digest(mediator_wide_triple(index)) == golden[str(index)]

@@ -353,8 +353,9 @@ def test_residuals_match_public_measures_bit_for_bit(base):
 
 
 def test_a_triple_counts_each_of_its_pairs_once(monkeypatch):
-    """The search, verification and both residuals on a fresh triple share
-    one counting pass per pair: (x, y), (y, z) and (x, z)."""
+    """The search, verification, candidate listing and both residuals, each
+    run twice on a fresh triple, share one counting pass per pair: (x, y),
+    (y, z) and (x, z)."""
     passes = []
     count_joint = markov.joint_masses
 
@@ -368,11 +369,13 @@ def test_a_triple_counts_each_of_its_pairs_once(monkeypatch):
     for t in built:
         fresh = Triple(t.x, t.y, t.z)
         passes.clear()
-        mediator = find_mediator(fresh)
-        constant = {(z, x): t.y.alphabet[0] for z in t.z.alphabet for x in t.x.alphabet}
-        verify_mediator(fresh, mediator or MediatorFunction(constant))
-        weak_functoriality_residual(fresh)
-        chain_rule_residual(fresh)
+        for _ in range(2):
+            mediator = find_mediator(fresh)
+            constant = {(z, x): t.y.alphabet[0] for z in t.z.alphabet for x in t.x.alphabet}
+            verify_mediator(fresh, mediator or MediatorFunction(constant))
+            mediator_candidates(fresh)
+            weak_functoriality_residual(fresh)
+            chain_rule_residual(fresh)
         assert passes == [(t.x, t.y), (t.y, t.z), (t.x, t.z)]
 
 
