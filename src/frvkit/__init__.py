@@ -17,7 +17,7 @@ from .core import (
     constant_variable,
     fair_coin,
     identity_map,
-    joint_masses,
+    joint_rows,
     joint_table,
     product_space,
     projection_map,

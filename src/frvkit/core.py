@@ -25,11 +25,11 @@ integer masses that makes each ``Fraction`` only when that value is read,
 so the entropy layer can recognise it and read the variable's dict instead
 of checking the weights again.
 
-:func:`joint_masses` is the one pass over the outcomes that counts a joint
-table.  It keeps nothing: each call counts afresh and returns a dict that
-the caller owns.  The entropy layer keeps the counts of the last pair it
-was asked about (see :mod:`frvkit.measures`), and a Markov triple keeps
-those of its three pairs (see :mod:`frvkit.markov`).
+:func:`joint_rows` is the one pass over the outcomes that counts a joint
+table, straight into the rows n(a, .) that the kernels, the measures and
+the Markov layer read.  Each call counts afresh into a dict that the
+caller owns.  The entropy layer keeps the rows of its last pair (see
+:mod:`frvkit.measures`), and a Markov triple those of its three pairs.
 """
 
 from __future__ import annotations
@@ -217,30 +217,33 @@ def joint_table(
     mapped to a by ``x`` and to b by ``y``.  Covers the full alphabet
     product, zero cells included, with rows in ``x.alphabet`` order.
     Requires a shared sample space."""
-    counts = joint_masses(x, y)
+    rows = joint_rows(x, y)
     denominator = x.space.denominator
     return {
-        (a, b): Fraction(counts.get((a, b), 0), denominator)
-        for a in x.alphabet
+        (a, b): Fraction(row.get(b, 0), denominator)
+        for a, row in rows.items()
         for b in y.alphabet
     }
 
 
-def joint_masses(
+def joint_rows(
     x: FiniteRandomVariable, y: FiniteRandomVariable
-) -> Dict[Tuple[Label, Label], int]:
-    """Integer joint masses over ``x.space.denominator`` of the cells that
-    some outcome hits, counted in one pass over the outcomes; cells no
-    outcome hits are absent.  Requires a shared sample space.  The dict is
-    fresh and the caller owns it."""
+) -> Dict[Label, Dict[Label, int]]:
+    """Integer joint masses over ``x.space.denominator`` as rows
+    ``{a: {b: n(a, b)}}``, one per label of ``x.alphabet`` in that order,
+    counted in one pass over the outcomes.  A row holds, in hit order, the
+    cells that some outcome hits, zero-weight ones included.  Requires a
+    shared sample space.  The rows are fresh and the caller owns them."""
     if x.space is not y.space and x.space != y.space:
         raise DomainMismatch("joint table requires variables on the same space")
-    counts: Dict[Tuple[Label, Label], int] = {}
+    rows: Dict[Label, Dict[Label, int]] = {}
+    for a in x.alphabet:  # a loop: cheaper than a comprehension for tiny pairs
+        rows[a] = {}
     xs, ys = x.assignment, y.assignment
     for outcome, mass in x.space.masses.items():
-        cell = (xs[outcome], ys[outcome])
-        counts[cell] = counts.get(cell, 0) + mass
-    return counts
+        row, b = rows[xs[outcome]], ys[outcome]
+        row[b] = row.get(b, 0) + mass
+    return rows
 
 
 def canonical_product(x: FiniteRandomVariable, y: FiniteRandomVariable) -> FiniteRandomVariable:

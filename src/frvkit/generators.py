@@ -76,11 +76,12 @@ def random_variable(
     labels = [f"{prefix}{i + 1}" for i in range(alphabet_size)]
     shuffled = list(space.outcomes)
     rng.shuffle(shuffled)
-    assignment: Dict[Label, Label] = {}
+    drawn: Dict[Label, Label] = {}
     for i, outcome in enumerate(shuffled):
         # First pass guarantees surjectivity, the rest is uniform.
-        assignment[outcome] = labels[i] if i < alphabet_size else rng.choice(labels)
-    return FiniteRandomVariable(space, assignment)
+        drawn[outcome] = labels[i] if i < alphabet_size else rng.choice(labels)
+    # In outcome order, which the variable's key check compares first.
+    return FiniteRandomVariable(space, {o: drawn[o] for o in space.outcomes})
 
 
 def random_pair(

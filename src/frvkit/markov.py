@@ -12,16 +12,19 @@ sets: a mediator exists iff every cell's candidate set is nonempty, and the
 lexicographically least candidate per cell gives a canonical witness.
 
 Each triple counts n(x,y), n(y,z) and n(x,z) once, in three
-:func:`frvkit.core.joint_masses` calls, and groups the positive counts of
-each once into rows, one per label of its first variable: n(x,.) per x, in
-y-label order, n(y,.) per y, and the n(x,.) of (x, z) per x.  Search,
-verification, candidate listing and the chain-rule residual read counts
-from these rows by label and build no tuple key.  Over them the equation
-reads n(x,z) n(y) = n(y,z) n(x,y), tested by one function of four
-integers.  The search walks each cell in label order and stops at its
-first candidate: where n(x,z) > 0 only a y in x's row of n(x,.) can hold,
-and only that row is walked; where n(x,z) = 0 every y off the row holds,
-so the walk over the Y-alphabet meets a candidate within |row| + 1 tests.
+:func:`frvkit.core.joint_rows` calls, each straight into one row per label
+of its first variable.  Search, verification, candidate listing and the
+chain-rule residual read counts from these rows by label and build no tuple
+key.  Over them the equation reads n(x,z) n(y) = n(y,z) n(x,y), tested by
+one function of four integers.  The search walks each cell and stops at
+its first candidate: where n(x,z) > 0 only a y in x's row of n(x,.) can
+hold, and only that row is walked; where n(x,z) = 0 every y off the row
+holds, so the walk over the Y-alphabet meets a candidate within |row| + 1
+tests.  The order of a row, which is the order the outcomes hit its cells,
+never changes the result: if a mediator h exists and n(x) > 0, summing
+P(z|h(z,x)) P(h(z,x)|x) = P(z|x) over z gives 1, which forces each y with
+n(x,y) > 0 to be some h(z,x) and to put all its mass on the z that h sends
+to it, so a cell with n(x,z) > 0 has exactly one candidate.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .core import FiniteRandomVariable, canonical_product, joint_masses
+from .core import FiniteRandomVariable, canonical_product, joint_rows
 from .constructions import push_forward, relabel
 from .errors import AlphabetMismatch, DomainMismatch
 from .generators import random_bijection, random_function, random_pair, random_triple
 from .labels import Label, label_text
-from .measures import DEFAULT_BASE, _conditional_entropy, _entropy, _log_for_base
+from .measures import DEFAULT_BASE, _cells, _conditional_entropy, _entropy, _log_for_base
 
 FAMILIES = ("a", "b", "c", "d")
 
@@ -44,8 +47,8 @@ FAMILIES = ("a", "b", "c", "d")
 @dataclass(frozen=True)
 class Triple:
     """Three variables on one shared space, with the joint masses n(x,y),
-    n(y,z) and n(x,z) over its denominator counted once per triple, and
-    their positive counts grouped once into one row per label."""
+    n(y,z) and n(x,z) over its denominator counted once per triple, each in
+    one row per label of its first variable."""
 
     x: FiniteRandomVariable
     y: FiniteRandomVariable
@@ -56,36 +59,10 @@ class Triple:
             raise DomainMismatch("triple components must share one sample space")
 
     @cached_property
-    def _joint(self) -> Tuple[Dict, Dict, Dict]:
-        """n(x,y), n(y,z) and n(x,z)."""
+    def _joint(self) -> Tuple[Dict[Label, Dict[Label, int]], ...]:
+        """The rows of n(x,y), n(y,z) and n(x,z)."""
         x, y, z = self.x, self.y, self.z
-        return joint_masses(x, y), joint_masses(y, z), joint_masses(x, z)
-
-    @cached_property
-    def _grouped(self) -> Tuple[Dict[Label, Dict[Label, int]], ...]:
-        """The positive counts of the joint tables in one row per label:
-        n(x,.) per x, in y-label order, n(y,.) per y and the n(x,.) of
-        (x, z) per x."""
-        xy, yz, xz = self._joint
-        by_y: Dict[Label, List] = {b: [] for b in self.y.alphabet}
-        for (a, b), n in xy.items():
-            if n:
-                by_y[b].append((a, n))
-        xy_rows: Dict[Label, Dict[Label, int]] = {a: {} for a in self.x.alphabet}
-        for b, hits in by_y.items():
-            for a, n in hits:
-                xy_rows[a][b] = n
-        return xy_rows, _group(yz, self.y.alphabet), _group(xz, self.x.alphabet)
-
-
-def _group(counts: Dict[Tuple[Label, Label], int], labels: Tuple[Label, ...]) -> Dict:
-    """The positive counts of ``counts`` in one row per label of
-    ``labels``, each keyed by the second label of its cells."""
-    rows: Dict[Label, Dict[Label, int]] = {a: {} for a in labels}
-    for (a, b), n in counts.items():
-        if n:
-            rows[a][b] = n
-    return rows
+        return joint_rows(x, y), joint_rows(y, z), joint_rows(x, z)
 
 
 def _holds(n_xz: int, n_y: int, n_yz: int, n_xy: int) -> bool:
@@ -129,7 +106,7 @@ def _check_mediator_shape(t: Triple, h: MediatorFunction) -> None:
 def verify_mediator(t: Triple, h: MediatorFunction) -> bool:
     """True iff the defining equation holds at every cell, exactly."""
     _check_mediator_shape(t, h)
-    xy, yz, xz = t._grouped
+    xy, yz, xz = t._joint
     n_y = t.y.masses
     for (z, x), y in h.table.items():
         if not _holds(xz[x].get(z, 0), n_y[y], yz[y].get(z, 0), xy[x].get(y, 0)):
@@ -144,7 +121,7 @@ def mediator_candidates(t: Triple) -> Dict[Tuple[Label, Label], List[Label]]:
     For any x of zero mass both sides vanish for every y, so the whole
     Y-alphabet is a candidate set there.
     """
-    xy, yz, xz = t._grouped
+    xy, yz, xz = t._joint
     n_ys = t.y.masses.items()
     return {
         (z, x): [y for y, n_y in n_ys if _holds(n_xz, n_y, yz[y].get(z, 0), row.get(y, 0))]
@@ -159,11 +136,12 @@ def find_mediator(t: Triple) -> Optional[MediatorFunction]:
 
     The returned table takes the least admissible y in every cell, so
     repeated runs agree bit for bit.  Each cell's walk stops at that y: it
-    tests only the y of x's row of n(x,.) where n(x,z) > 0, and at most
-    that row's length + 1 labels where n(x,z) = 0.  The search stops at the
-    first cell without a candidate.
+    tests only the y of x's row of n(x,.) where n(x,z) > 0, where a Markov
+    triangle has exactly one candidate (see the module docstring), and at
+    most that row's length + 1 labels, in label order, where n(x,z) = 0.
+    The search stops at the first cell without a candidate.
     """
-    xy, yz, xz = t._grouped
+    xy, yz, xz = t._joint
     n_y = t.y.masses
     n_ys = n_y.items()
     table: Dict[Tuple[Label, Label], Label] = {}
@@ -195,7 +173,7 @@ def weak_functoriality_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     log = _log_for_base(base)
     total = t.x.space.denominator
     h_x, h_y, h_z = (_entropy(v.masses.values(), total, log) for v in (t.x, t.y, t.z))
-    h_xy, h_yz, h_xz = (_entropy(counts.values(), total, log) for counts in t._joint)
+    h_xy, h_yz, h_xz = (_entropy(_cells(rows), total, log) for rows in t._joint)
     return ((h_x + h_z) - h_xz) - ((h_x + h_y) - h_xy) - ((h_y + h_z) - h_yz) + ((h_y + h_y) - h_y)
 
 
@@ -203,13 +181,9 @@ def chain_rule_residual(t: Triple, base: float = DEFAULT_BASE) -> float:
     """H(Z|X) - H(Z|Y) - H(Y|X); conditional entropy composes additively
     over Markov triangles, so this vanishes there."""
     log = _log_for_base(base)
-    total = t.x.space.denominator
-    xy, yz, xz = t._grouped
-
-    def given(v: FiniteRandomVariable, rows: Dict[Label, Dict[Label, int]]) -> float:
-        return _conditional_entropy(map(dict.values, rows.values()), v.masses.values(), total, log)
-
-    return given(t.x, xz) - given(t.y, yz) - given(t.x, xy)
+    xy, yz, xz = t._joint
+    h = _conditional_entropy
+    return h(t.x, xz, log) - h(t.y, yz, log) - h(t.x, xy, log)
 
 
 def generate_markov_triangle(

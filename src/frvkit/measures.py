@@ -23,14 +23,15 @@ term, the mass order and the sum are the same floats either way.
 
 The joint measures of a pair read one set of joint counts.  A private memo
 holds the last pair asked for, found by the identity of its two variables
-in either order, with its :func:`frvkit.core.joint_masses` counts and its
-H(X,Y) per base.  A conditional entropy groups those counts into the rows
-of its conditioning side, and each row is summed in ascending order of
-mass, so the order in which the pair or the measures are asked for never
-changes a bit.  The memo keeps at most one pair alive.  An entry is
-replaced as one tuple and its counts are never changed in place, so a
-thread always reads a whole entry; its entropy dict is filled once per
-base, and whichever thread fills it stores the same float.
+in either order, with its :func:`frvkit.core.joint_rows` rows n(x,.) and
+its H(X,Y) per base.  H(X,Y) sums every cell of every row.  H(Y|X) sums
+the rows as they are; H(X|Y) first transposes them into rows n(.,y).
+Each sum runs in ascending order of mass, so the order in which the pair
+or the measures are asked for never changes a bit.  The memo keeps at most
+one pair alive.  An entry is replaced as one tuple and its rows are never
+changed in place, so a thread always reads a whole entry; its entropy dict
+is filled once per base, and whichever thread fills it stores the same
+float.
 
 The logarithm base defaults to 2 (bits) and is a parameter everywhere; the
 measures are only meaningful up to this common scale factor.
@@ -41,9 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .core import ZERO, FiniteRandomVariable, _check_weights, _PmfView, joint_masses
+from .core import ZERO, FiniteRandomVariable, _check_weights, _PmfView, joint_rows
 from .errors import InvalidBase, NotAPmf
 from .labels import Label, label_text
 
@@ -79,6 +81,11 @@ def _entropy(masses: Iterable[int], total: int, log: Callable[[float], float]) -
     return 0.0 - acc
 
 
+def _cells(rows: Dict[Label, Dict[Label, int]]) -> Iterable[int]:
+    """Every count of every row of a joint table."""
+    return chain.from_iterable(map(dict.values, rows.values()))
+
+
 def _kept_entropy(
     kept: Dict[float, float],
     base: float,
@@ -108,33 +115,30 @@ def entropy(distribution: Mapping[Label, Fraction], base: float = DEFAULT_BASE) 
     return _entropy(masses.values(), denominator, log)
 
 
-# One slot holding the entry of the last pair counted: (x, y, counts keyed
-# (x-label, y-label), H(X,Y) per log base).
+# One slot holding the entry of the last pair counted: (x, y, rows n(x,.),
+# H(X,Y) per log base).
 _last_pair: List[Optional[tuple]] = [None]
 
 
 def _pair(x: FiniteRandomVariable, y: FiniteRandomVariable) -> tuple:
     """The memo entry of the pair {x, y}: the last pair asked for, if that
-    was {x, y} in either order, else (x, y) counted now.  Its counts are
+    was {x, y} in either order, else (x, y) counted now.  Its rows are
     shared: read them, never change them."""
     memo = _last_pair[0]
     if memo is None or not (
         (memo[0] is x and memo[1] is y) or (memo[0] is y and memo[1] is x)
     ):
-        memo = _last_pair[0] = (x, y, joint_masses(x, y), {})
+        memo = _last_pair[0] = (x, y, joint_rows(x, y), {})
     return memo
 
 
-def _group_rows(
-    counts: Mapping[Tuple[Label, Label], int], side: int, labels: Sequence[Label]
-) -> Dict[Label, List[int]]:
-    """The masses of ``counts`` grouped by the label at position ``side`` of
-    each cell key, one row per label in ``labels``, which must hold every
-    such label."""
-    rows: Dict[Label, List[int]] = {label: [] for label in labels}
-    for key, n in counts.items():
-        rows[key[side]].append(n)
-    return rows
+def _pair_entropy(memo: tuple, base: float, log: Callable[[float], float]) -> float:
+    """H(X,Y) of a memo entry at an accepted ``base``, from every cell of
+    its rows, computed once and kept in the entry."""
+    value = memo[3].get(base)
+    if value is None:
+        value = memo[3][base] = _entropy(_cells(memo[2]), memo[0].space.denominator, log)
+    return value
 
 
 def joint_entropy(
@@ -143,7 +147,7 @@ def joint_entropy(
     """Entropy of the joint distribution of ``(x, y)``."""
     memo = _pair(x, y)
     log = _log_for_base(base)
-    return _kept_entropy(memo[3], base, memo[2], x.space.denominator, log)
+    return _pair_entropy(memo, base, log)
 
 
 @dataclass(frozen=True)
@@ -184,29 +188,24 @@ def conditional_kernel(
 ) -> ConditionalKernel:
     """Conditional distribution of ``target`` given each value of ``given``:
     joint cell divided by the conditioning mass, zero row at zero mass."""
-    counts = joint_masses(given, target)
+    counts = joint_rows(given, target)
     rows: Dict[Label, Dict[Label, Fraction]] = {}
     for x, mass in given.masses.items():
-        rows[x] = {
-            y: Fraction(counts.get((x, y), 0), mass) if mass else ZERO
-            for y in target.alphabet
-        }
+        row = counts[x]
+        rows[x] = {y: Fraction(row.get(y, 0), mass) if mass else ZERO for y in target.alphabet}
     return ConditionalKernel(given.alphabet, target.alphabet, rows)
 
 
 def _conditional_entropy(
-    rows: Iterable[Iterable[int]],
-    masses: Iterable[int],
-    total: int,
-    log: Callable[[float], float],
+    given: FiniteRandomVariable, rows: Dict[Label, Dict[Label, int]], log: Callable[[float], float]
 ) -> float:
-    """H(target | given) from the joint counts n(g, t) grouped into one row
-    per conditioning label g and the conditioning masses n(g), both in the
-    same label order, all over ``total``."""
+    """H(target | given) from the joint counts n(g, .) in one row per label
+    g of ``given``, in its alphabet order."""
+    total = given.space.denominator
     acc = 0.0
-    for row, mass in zip(rows, masses):
+    for row, mass in zip(rows.values(), given.masses.values()):
         if mass:
-            acc += (mass / total) * _entropy(row, mass, log)
+            acc += (mass / total) * _entropy(row.values(), mass, log)
     return acc + 0.0
 
 
@@ -217,8 +216,13 @@ def conditional_entropy(
     over the conditioning labels in label order."""
     log = _log_for_base(base)
     memo = _pair(given, target)
-    rows = _group_rows(memo[2], 0 if memo[0] is given else 1, given.alphabet)
-    return _conditional_entropy(rows.values(), given.masses.values(), given.space.denominator, log)
+    rows = memo[2]
+    if memo[0] is not given:
+        rows = {b: {} for b in given.alphabet}
+        for a, row in memo[2].items():
+            for b, n in row.items():
+                rows[b][a] = n
+    return _conditional_entropy(given, rows, log)
 
 
 def mutual_information(
@@ -235,4 +239,4 @@ def mutual_information(
     total = x.space.denominator
     h_x = _kept_entropy(x._entropies, base, x.masses, total, log)
     h_y = _kept_entropy(y._entropies, base, y.masses, total, log)
-    return (h_x + h_y) - _kept_entropy(memo[3], base, memo[2], total, log)
+    return (h_x + h_y) - _pair_entropy(memo, base, log)

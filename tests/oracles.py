@@ -1,13 +1,15 @@
 """Independent oracles shared by the unit and acceptance suites.
 
-These deliberately avoid the library's search strategies and its kernels:
-conditionals are recomputed here in exact ``Fraction`` arithmetic from the
-raw space weights and assignment maps, and existence of a mediator is
-decided by enumerating every function on the cell grid and testing the
-defining equation on each one directly.
+These deliberately avoid the library's search strategies, its kernels and
+its entropy sums: conditionals are recomputed here in exact ``Fraction``
+arithmetic from the raw space weights and assignment maps, existence of a
+mediator is decided by enumerating every function on the cell grid and
+testing the defining equation on each one directly, and a conditional
+entropy is one ``math.fsum`` over exact cells.
 """
 
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -30,6 +32,24 @@ def _conditional(t, given, out):
         return joint[g, o] / mass[g] if mass[g] else Fraction(0)
 
     return prob
+
+
+def oracle_conditional_entropy(given, target, base=2.0):
+    """H(target | given) = -sum p(g, t) log(p(g, t) / p(g)) over the cells
+    of positive weight, from exact ``Fraction`` cells and marginals summed
+    over the raw assignments, the terms added by ``math.fsum``."""
+    sp = given.space
+    marginal = defaultdict(Fraction)
+    joint = defaultdict(Fraction)
+    for outcome in sp.outcomes:
+        weight = sp.weights[outcome]
+        g = given.assignment[outcome]
+        marginal[g] += weight
+        joint[g, target.assignment[outcome]] += weight
+    scale = math.log(base)
+    return math.fsum(
+        -float(p) * math.log(float(p / marginal[g])) / scale for (g, _), p in joint.items() if p
+    )
 
 
 def _image(variable):

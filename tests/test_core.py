@@ -18,7 +18,7 @@ from frvkit import (
     entropy,
     identity_map,
     joint_entropy,
-    joint_masses,
+    joint_rows,
     joint_table,
     mutual_information,
     product_space,
@@ -390,7 +390,7 @@ def test_variables_on_spaces_built_from_a_list_and_a_tuple_share_a_joint_table()
     listed, tupled = _listed_and_tupled()
     x = variable(listed, {"a": "u", "b": "v"})
     y = variable(tupled, {"a": "s", "b": "t"})
-    assert joint_masses(x, y) == {("u", "s"): 1, ("v", "t"): 2}
+    assert joint_rows(x, y) == {"u": {"s": 1}, "v": {"t": 2}}
 
 
 def test_a_space_built_from_a_list_of_outcomes_cannot_be_changed_through_it():

@@ -357,13 +357,13 @@ def test_a_triple_counts_each_of_its_pairs_once(monkeypatch):
     run twice on a fresh triple, share one counting pass per pair: (x, y),
     (y, z) and (x, z)."""
     passes = []
-    count_joint = markov.joint_masses
+    count_joint = markov.joint_rows
 
     def counted(x, y):
         passes.append((x, y))
         return count_joint(x, y)
 
-    monkeypatch.setattr(markov, "joint_masses", counted)
+    monkeypatch.setattr(markov, "joint_rows", counted)
     built = [generate_markov_triangle(seed, family="abcd"[seed % 4]) for seed in range(40)]
     built += [_residual_triple(seed) for seed in range(40)]
     for t in built:
@@ -377,6 +377,43 @@ def test_a_triple_counts_each_of_its_pairs_once(monkeypatch):
             weak_functoriality_residual(fresh)
             chain_rule_residual(fresh)
         assert passes == [(t.x, t.y), (t.y, t.z), (t.x, t.z)]
+
+
+def _meeting_cells(t):
+    """The cells (z, x) with n(x,z) > 0, read from the raw weights."""
+    sp = t.x.space
+    return {(t.z.assignment[w], t.x.assignment[w]) for w in sp.outcomes if sp.weights[w]}
+
+
+def test_a_markov_triangle_has_one_candidate_where_x_and_z_meet():
+    """On a Markov triangle each cell with n(x,z) > 0 has exactly one
+    candidate y, so the search may walk x's row of n(x,.) in any order.
+
+    Take a mediator h and n(x) > 0.  Summing P(z|x) = P(z|h(z,x)) P(h(z,x)|x)
+    over z gives 1 = sum_y P(y|x) P(Z in S_y | y), where S_y is the set of z
+    that h sends to y at x.  Each P(Z in S_y | y) is at most 1, so every y
+    with P(y|x) > 0 is some h(z,x) and puts all its mass on S_y.  A
+    candidate y at a cell with n(x,z) > 0 has P(y|x) > 0 and P(z|y) > 0, so
+    z is in S_y, that is h(z,x) = y.  The sweep's random triples on spaces
+    that may carry zero-weight outcomes include accidental triangles; off
+    the triangles such cells can hold several candidates, and it meets
+    some."""
+    sweep = [(seed % 2 == 0, _residual_triple(seed)) for seed in range(1600)]
+    sweep += [(False, _wide_sweep_triple(seed)) for seed in WIDE_SEEDS]
+    markov = accidental = zero_weight = cells = several = 0
+    for drawn, t in sweep:
+        candidates = oracle_mediator_candidates(t)
+        sizes = [len(candidates[cell]) for cell in _meeting_cells(t)]
+        if all(candidates.values()):
+            assert sizes == [1] * len(sizes), t
+            markov += 1
+            accidental += drawn
+            zero_weight += not all(t.x.space.weights.values())
+            cells += len(sizes)
+        else:
+            several += max(sizes) > 1
+    assert markov >= 1000 and accidental >= 200 and zero_weight >= 150 and cells >= 3500
+    assert several >= 20
 
 
 def test_verify_mediator_agrees_with_the_oracle_equation_cell_by_cell():

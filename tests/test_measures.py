@@ -22,7 +22,7 @@ from frvkit import (
     constant_variable,
     entropy,
     joint_entropy,
-    joint_masses,
+    joint_rows,
     joint_table,
     mutual_information,
     space,
@@ -31,6 +31,7 @@ from frvkit import (
 from frvkit import measures
 from frvkit.cli import main
 from frvkit.generators import random_pair, random_space, random_variable
+from oracles import oracle_conditional_entropy
 
 # Frozen by direct evaluation of -sum p*log2(p) over the exact values.
 H_THIRD_SIXTH_HALF = 1.4591479170272448
@@ -277,7 +278,7 @@ def _memo_calls(seed):
     ] + [
         (fn, sides, ())
         for sides in ("xy", "yx")
-        for fn in (joint_masses, joint_table, conditional_kernel)
+        for fn in (joint_rows, joint_table, conditional_kernel)
     ]
 
 
@@ -318,11 +319,13 @@ def test_mutating_returned_joint_masses_changes_no_later_measure():
     x, y = correlated_pair()
     h_xy = joint_entropy(x, y).hex()
     for first, second in ((x, y), (y, x)):
-        counts = joint_masses(first, second)
-        expected = dict(counts)
-        counts.clear()
-        counts[("a1", "b1")] = 5
-        assert joint_masses(first, second) == expected
+        rows = joint_rows(first, second)
+        expected = {a: dict(row) for a, row in rows.items()}
+        for row in rows.values():
+            row.clear()
+        rows.clear()
+        rows["a1"] = {"b1": 5}
+        assert joint_rows(first, second) == expected
         assert joint_entropy(x, y).hex() == h_xy
         assert joint_entropy(y, x).hex() == h_xy
 
@@ -361,14 +364,14 @@ def test_threads_on_distinct_pairs_agree_with_a_serial_run():
 def _count_passes(monkeypatch):
     """Count the passes over the outcomes from here on, with an empty memo."""
     passes = []
-    count_joint = measures.joint_masses
+    count_joint = measures.joint_rows
 
     def counted(x, y):
         passes.append((x, y))
         return count_joint(x, y)
 
     measures._last_pair[0] = None
-    monkeypatch.setattr(measures, "joint_masses", counted)
+    monkeypatch.setattr(measures, "joint_rows", counted)
     return passes
 
 
@@ -403,6 +406,40 @@ def test_distinct_pairs_make_one_pass_each(monkeypatch):
         conditional_entropy(y, x)
         joint_entropy(y, x)
     assert len(passes) == 4 * len(pairs)
+
+
+def _oracle_pair(seed):
+    """A seeded pair of up to 12 labels each; odd seeds sit on spaces that
+    may carry zero-weight outcomes."""
+    rng = random.Random(f"conditional-oracle/{seed}")
+    if seed % 2 == 0:
+        return random_pair(rng, 12, 24)
+    sp = random_space(rng, rng.randint(2, 24), 40, allow_zero=True)
+    sizes = [rng.randint(1, len(sp.outcomes)) for _ in range(2)]
+    return tuple(random_variable(rng, sp, min(s, 12), prefix) for s, prefix in zip(sizes, "xy"))
+
+
+def test_conditional_entropy_matches_an_oracle_whichever_way_the_memo_holds_the_pair():
+    """Each pair is checked at a base drawn from its seed, twice: once with
+    the memo counted as (x, y) and once as (y, x), so that each conditional
+    entropy is read once from the memo's own rows and once from their
+    transposition."""
+    zero_weight = 0
+    for seed in range(240):
+        x, y = _oracle_pair(seed)
+        zero_weight += not all(x.space.weights.values())
+        base = MEMO_BASES[seed % len(MEMO_BASES)]
+        expected = [
+            (given, target, oracle_conditional_entropy(given, target, base))
+            for given, target in ((x, y), (y, x))
+        ]
+        for first, second in ((x, y), (y, x)):
+            joint_entropy(first, first)
+            joint_entropy(first, second, base)
+            assert measures._last_pair[0][0] is first
+            for given, target, value in expected:
+                assert abs(conditional_entropy(given, target, base) - value) <= 1e-12, seed
+    assert zero_weight >= 60
 
 
 # -- kept entropies and the pmf view -----------------------------------------------
